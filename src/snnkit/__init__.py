@@ -1,7 +1,7 @@
 """Joint nearest-neighbor labeling: pruning, sparse solvers, experiments."""
 from .core import (Assignment, GuardExceededError, SnnInstance, brute_force_opt,
                    cost, cost_points, make_instance, pruning_gap)
-from .graphs import CompatGraph, Orientation, exact_pseudoarboricity, grid_graph, orient_edges
+from .graphs import CompatGraph, Orientation, grid_graph, orient_edges
 from .inn import Stage2Solver, inn_solve, pruned_label_set
 from .metric import EuclideanSpace, LatticeBox, MatrixSpace, build_graph_metric
 from .nn import NnIndex, lattice_nn_map
@@ -18,7 +18,7 @@ __all__ = [
     "LatticeBox", "MatrixSpace", "NnIndex", "Orientation", "SnnInstance",
     "Stage2Solver", "TreeMetric", "ZeroExtInstance", "back_translate",
     "brute_force_opt", "build_graph_metric", "build_tree_metric", "cost",
-    "cost_points", "euclidean_refine", "exact_pseudoarboricity", "grid_graph",
+    "cost_points", "euclidean_refine", "grid_graph",
     "inn_solve", "lattice_nn_map", "make_instance", "orient_edges",
     "pruned_label_set", "pruning_gap", "rplus_solve", "snn_to_zero_extension",
     "sparse_assign", "tree_labeling_solve", "zero_ext_cost", "zero_ext_exact",

@@ -1,20 +1,19 @@
 """Command-line front end.
 
 Subcommands: solve, oracle, gap, rplus, lowerbound, denoise,
-denoise-patches, bench.  IO and validation failures exit with status 2,
-exceeded enumeration guards with status 3.
+denoise-patches.  IO and validation failures exit with status 2, exceeded
+enumeration guards with status 3.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-import time
 
 from . import io as sio
 from .core import GuardExceededError, brute_force_opt, pruning_gap
 from .denoise import (NoiseConfig, add_noise, denoise_patches, denoise_pixels,
-                      pixel_gap_experiment, pixel_instance)
+                      pixel_gap_experiment)
 from .generators import cartoon_fixture
 from .graphs import orient_edges
 from .inn import Stage2Solver, inn_solve, pruned_label_set
@@ -145,28 +144,6 @@ def cmd_denoise_patches(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    sizes = []
-    for part in args.grids.split(","):
-        w, _, h = part.strip().partition("x")
-        sizes.append((int(w), int(h)))
-    print(f"{'grid':>8} {'queries':>8} {'palette':>8} "
-          f"{'prune_s':>8} {'tree_s':>8} {'total':>12}")
-    for w, h in sizes:
-        img = cartoon_fixture(w, h)
-        noisy = add_noise(img, NoiseConfig(seed=args.seed))
-        inst = pixel_instance(noisy, "full")
-        t0 = time.perf_counter()
-        pl = pruned_label_set(inst)
-        t1 = time.perf_counter()
-        run = denoise_pixels(noisy, "image", rng_seed=args.seed)
-        t2 = time.perf_counter()
-        label = f"{w}x{h}"
-        print(f"{label:>8} {inst.k:>8} {len(pl.label_points):>8} "
-              f"{t1 - t0:>8.3f} {t2 - t1:>8.3f} {run.total:>12.1f}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="snn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -228,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_noise_args(sp)
     sp.add_argument("--out-prefix", default=None)
     sp.set_defaults(func=cmd_denoise_patches)
-
-    sp = sub.add_parser("bench", help="timing table over grid sizes")
-    sp.add_argument("--grids", default="16x16,32x32")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.set_defaults(func=cmd_bench)
     return p
 
 

@@ -1,4 +1,5 @@
-"""Joint nearest-neighbor instances, the cost functional, and exact baselines.
+"""Joint nearest-neighbor instances, the cost functional, exact baselines,
+and the labeling kernels every solver runs on.
 
 An instance couples a label set P and queries Q in a shared metric space with
 a compatibility multigraph G over the queries.  The objective of a labeling
@@ -9,6 +10,10 @@ p: Q -> P is
 The unweighted case (all kappa and lambda equal to 1, multiplicities free) is
 what the approximation guarantees elsewhere in the package are stated for;
 the functional itself supports general nonnegative weights.
+
+Solvers share one internal form: unary costs, collapsed weighted edges and
+label distances.  _enumerate minimizes it exactly by enumeration, _icm
+improves a labeling by iterated conditional modes (Besag 1986).
 """
 from __future__ import annotations
 
@@ -23,6 +28,7 @@ from .nn import NnIndex, lattice_nn_map
 
 DEFAULT_GUARD = 10 ** 7
 _CHUNK = 1 << 18
+_EPS = 1e-12
 
 
 class GuardExceededError(RuntimeError):
@@ -151,15 +157,8 @@ def cost_points(inst: SnnInstance, points) -> Assignment:
     return Assignment(points=pts, nn_cost=nn, pw_cost=pw, total=nn + pw, idx=None)
 
 
-def _explicit_allowed(inst: SnnInstance, allowed, guard: int) -> np.ndarray:
-    """Resolve the allowed label ids, materializing tiny lattice boxes."""
-    if isinstance(inst.labels, LatticeBox):
-        box = inst.labels
-        if box.size ** inst.k > guard:
-            raise GuardExceededError(
-                f"enumeration over {box.size}^{inst.k} assignments exceeds guard {guard}")
-        # tiny box: fall back to an explicit copy so enumeration code applies
-        raise _NeedsMaterialize(box)
+def _explicit_allowed(inst: SnnInstance, allowed) -> np.ndarray:
+    """Resolve the allowed label ids of an explicit label set."""
     n = len(inst.labels)
     if allowed is None:
         return np.arange(n, dtype=np.int64)
@@ -171,9 +170,109 @@ def _explicit_allowed(inst: SnnInstance, allowed, guard: int) -> np.ndarray:
     return a
 
 
-class _NeedsMaterialize(Exception):
-    def __init__(self, box):
-        self.box = box
+def _collapsed(inst: SnnInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct edge endpoints, sorted, with summed lambda * multiplicity weights."""
+    e = inst.graph.edges
+    keys, inv = np.unique(e[:, 0] * inst.k + e[:, 1], return_inverse=True)
+    w = np.bincount(inv, weights=inst.lam * e[:, 2], minlength=len(keys))
+    return keys // inst.k, keys % inst.k, np.asarray(w, dtype=float)
+
+
+def _directed(i, j, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both orientations of undirected edges: sources, targets, weights."""
+    return np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([w, w])
+
+
+def _enumerate(unary, ei, ej, w, dlab) -> tuple[np.ndarray, float]:
+    """Exact minimiser of sum_q unary[q, x_q] + sum_e w_e * dlab[x_ei, x_ej].
+
+    Walks all L^k labelings in chunks, first query most significant, so
+    ties go to the lexicographically smallest tuple.  Returns the labels
+    and their cost.
+    """
+    k, L = unary.shape
+    states = L ** k
+    base = L ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    rows = np.arange(k)[:, None]
+    best_cost, best_state = np.inf, -1
+    for start in range(0, states, _CHUNK):
+        offs = np.arange(start, min(states, start + _CHUNK), dtype=np.int64)
+        digits = (offs[None, :] // base[:, None]) % L  # (k, c)
+        c = unary[rows, digits].sum(axis=0)
+        for i, j, wt in zip(ei, ej, w):
+            c += wt * dlab[digits[i], digits[j]]
+        pos = int(np.argmin(c))
+        if c[pos] < best_cost:
+            best_cost = float(c[pos])
+            best_state = start + pos
+    return (best_state // base) % L, best_cost
+
+
+def _classes(coloring, rows) -> list[np.ndarray]:
+    """Independent sets of rows for _icm: the two color classes, or each row alone."""
+    if coloring is None:
+        return [rows[t:t + 1] for t in range(len(rows))]
+    return [rows[coloring[rows] == c] for c in (0, 1)]
+
+
+def _shared_scorer(unary, dist):
+    """Scorer for _icm when every row picks from the same S labels 0..S-1.
+
+    unary(rows) gives the (rows, S) unary costs and dist(u) the (S, len(u))
+    distances from every label to the labels u.  Neighbor weights are
+    gathered per distinct neighbor label, then priced in one product.
+    """
+    def score(cur, rows, li, nd, nw):
+        s = unary(rows)
+        if len(li):
+            u, col = np.unique(cur[nd], return_inverse=True)
+            a = np.zeros((len(rows), len(u)))
+            np.add.at(a, (li, col), nw)
+            s = s + a @ dist(u).T
+        return s, cur[rows], None
+    return score
+
+
+def _icm(cur, classes, src, dst, w, score, passes: int):
+    """Iterated conditional modes on the labeling cur, in place.
+
+    Each pass visits the classes in order and moves all rows of a class at
+    once, so a class must be an independent set.  Directed edge e charges
+    w[e] times a label distance to row src[e] against the label of dst[e].
+    score(cur, rows, li, nd, nw) is given a class and its incident edges
+    (li: row positions within the class, nd: neighbors, nw: weights) and
+    returns (scores, column of each row's current label, candidates); the
+    candidates are None when column c is label c, else a (rows, S, ...)
+    array of labels.  A row moves to its first best candidate only when
+    that beats its current score by more than _EPS.  Stops after a pass
+    without moves.
+    """
+    classes = [rows for rows in classes if len(rows)]
+    cls = np.full(len(cur), -1, dtype=np.int64)
+    local = np.zeros(len(cur), dtype=np.int64)
+    for c, rows in enumerate(classes):
+        cls[rows] = c
+        local[rows] = np.arange(len(rows))
+    ecls = cls[src]
+    order = np.argsort(ecls, kind="stable")  # keeps edge order within a class
+    cut = np.searchsorted(ecls[order], np.arange(len(classes) + 1))
+    parts = []
+    for c, rows in enumerate(classes):
+        e = order[cut[c]:cut[c + 1]]
+        parts.append((rows, local[src[e]], dst[e], w[e]))
+    for _ in range(passes):
+        changed = False
+        for rows, li, nd, nw in parts:
+            s, now, cand = score(cur, rows, li, nd, nw)
+            r = np.arange(len(rows))
+            best = np.argmin(s, axis=1)
+            move = s[r, best] < s[r, now] - _EPS
+            if move.any():
+                cur[rows[move]] = best[move] if cand is None else cand[r[move], best[move]]
+                changed = True
+        if not changed:
+            break
+    return cur
 
 
 def brute_force_opt(inst: SnnInstance, allowed=None, guard: int = DEFAULT_GUARD) -> Assignment:
@@ -183,44 +282,25 @@ def brute_force_opt(inst: SnnInstance, allowed=None, guard: int = DEFAULT_GUARD)
     the lexicographically smallest tuple of label ids (queries in order,
     allowed ids ascending).
     """
-    try:
-        ids = _explicit_allowed(inst, allowed, guard)
-    except _NeedsMaterialize as nm:
-        sub = replace(inst, labels=nm.box.all_points().astype(float))
-        a = brute_force_opt(sub, allowed=allowed, guard=guard)
-        return Assignment(points=a.points, nn_cost=a.nn_cost, pw_cost=a.pw_cost,
-                          total=a.total, idx=None)
     k = inst.k
+    if isinstance(inst.labels, LatticeBox):
+        box = inst.labels
+        if box.size ** k > guard:
+            raise GuardExceededError(
+                f"enumeration over {box.size}^{k} assignments exceeds guard {guard}")
+        # tiny box: enumerate over an explicit copy of its points
+        sub = replace(inst, labels=box.all_points().astype(float))
+        return replace(brute_force_opt(sub, allowed=allowed, guard=guard), idx=None)
+    ids = _explicit_allowed(inst, allowed)
     L = len(ids)
-    states = L ** k
-    if states > guard:
-        raise GuardExceededError(
-            f"enumeration over {L}^{k} = {states} assignments exceeds guard {guard}")
+    if L ** k > guard:
+        raise GuardExceededError(f"enumeration over {L}^{k} assignments exceeds guard {guard}")
 
     pts = inst.labels[ids]
-    d_nn = inst.kappa[:, None] * inst.space.cross(inst.queries, pts)  # (k, L)
-    m = inst.graph.num_entries
-    if m:
-        cross_lab = inst.space.cross(pts, pts)  # (L, L)
-        e_i = inst.graph.edges[:, 0]
-        e_j = inst.graph.edges[:, 1]
-        e_w = inst.lam * inst.graph.edges[:, 2]
-
-    base = L ** np.arange(k - 1, -1, -1, dtype=np.int64)  # first query most significant
-    best_cost = np.inf
-    best_state = -1
-    for start in range(0, states, _CHUNK):
-        offs = np.arange(start, min(states, start + _CHUNK), dtype=np.int64)
-        digits = (offs[None, :] // base[:, None]) % L  # (k, c)
-        c = d_nn[np.arange(k)[:, None], digits].sum(axis=0)
-        if m:
-            for t in range(m):
-                c += e_w[t] * cross_lab[digits[e_i[t]], digits[e_j[t]]]
-        pos = int(np.argmin(c))
-        if c[pos] < best_cost:
-            best_cost = float(c[pos])
-            best_state = start + pos
-    digits = (best_state // base) % L
+    e = inst.graph.edges
+    dlab = inst.space.cross(pts, pts) if len(e) else None
+    digits, _ = _enumerate(inst.kappa[:, None] * inst.space.cross(inst.queries, pts),
+                           e[:, 0], e[:, 1], inst.lam * e[:, 2], dlab)
     return cost(inst, ids[digits])
 
 

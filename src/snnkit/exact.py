@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Assignment, SnnInstance, cost
+from .core import SnnInstance, _classes, _collapsed, _directed, _icm, _shared_scorer, cost
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -24,14 +24,6 @@ class NodeBudgetExceeded(RuntimeError):
 class SearchStats:
     nodes: int
     optimum: float
-
-
-def _collapsed_weights(inst: SnnInstance) -> dict[tuple[int, int], float]:
-    w: dict[tuple[int, int], float] = {}
-    for row, lam in zip(inst.graph.edges, inst.lam):
-        key = (int(row[0]), int(row[1]))
-        w[key] = w.get(key, 0.0) + float(lam * row[2])
-    return w
 
 
 def _visit_order(k: int, adj: list[list[tuple[int, float]]]) -> list[int]:
@@ -56,24 +48,6 @@ def _visit_order(k: int, adj: list[list[tuple[int, float]]]) -> list[int]:
     return order
 
 
-def _icm_polish(d_nn, d_lab, adj, labels, passes: int = 8) -> np.ndarray:
-    labels = labels.copy()
-    k = len(labels)
-    for _ in range(passes):
-        changed = False
-        for v in range(k):
-            score = d_nn[v].copy()
-            for u, wt in adj[v]:
-                score += wt * d_lab[:, labels[u]]
-            c = int(np.argmin(score))
-            if c != labels[v]:
-                labels[v] = c
-                changed = True
-        if not changed:
-            break
-    return labels
-
-
 def bb_opt(inst: SnnInstance, allowed=None, node_budget: int | None = None,
            return_stats: bool = False):
     """Exact optimum via branch and bound.
@@ -94,9 +68,9 @@ def bb_opt(inst: SnnInstance, allowed=None, node_budget: int | None = None,
 
     d_nn = inst.kappa[:, None] * inst.space.cross(inst.queries, pts)
     d_lab = inst.space.cross(pts, pts)
-    pair_w = _collapsed_weights(inst)
+    pi, pj, pw = _collapsed(inst)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(k)]
-    for (i, j), wt in pair_w.items():
+    for i, j, wt in zip(pi.tolist(), pj.tolist(), pw.tolist()):
         adj[i].append((j, wt))
         adj[j].append((i, wt))
 
@@ -107,12 +81,14 @@ def bb_opt(inst: SnnInstance, allowed=None, node_budget: int | None = None,
 
     def total_of(lab):
         t = d_nn[np.arange(k), lab].sum()
-        for (i, j), wt in pair_w.items():
+        for i, j, wt in zip(pi, pj, pw):
             t += wt * d_lab[lab[i], lab[j]]
         return float(t)
 
     best_lab = min((start_a, start_b), key=total_of)
-    best_lab = _icm_polish(d_nn, d_lab, adj, best_lab)
+    polish = _shared_scorer(lambda rows: d_nn[rows], lambda u: d_lab[:, u])
+    one_at_a_time = _classes(None, np.arange(k))
+    best_lab = _icm(best_lab, one_at_a_time, *_directed(pi, pj, pw), polish, passes=8)
     incumbent = total_of(best_lab)
     best = best_lab.copy()
 

@@ -8,7 +8,6 @@ achievable value over all orientations is the pseudoarboricity.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,33 +167,6 @@ def orient_edges(g: CompatGraph) -> Orientation:
         owner = np.zeros(0, dtype=np.int64)
         r = 0
     return Orientation(edges=exp, owner=owner, r=r)
-
-
-_EXACT_LIMIT = 16
-
-
-def exact_pseudoarboricity(g: CompatGraph) -> int:
-    """Minimum over all orientations of the max out-degree.
-
-    Exhaustive over 2^M owner choices; refuses instances with more than
-    16 edge instances.
-    """
-    m = g.num_instances
-    if m > _EXACT_LIMIT:
-        raise ValueError(f"exact search limited to {_EXACT_LIMIT} edge instances, got {m}")
-    if m == 0:
-        return 0
-    exp = g.expanded()
-    best = m
-    counts = np.zeros(g.n, dtype=np.int64)
-    for choice in itertools.product((0, 1), repeat=m):
-        counts[:] = 0
-        for row, c in zip(exp, choice):
-            counts[row[c]] += 1
-        best = min(best, int(counts.max()))
-        if best == 1:
-            break
-    return best
 
 
 def grid_graph(width: int, height: int) -> CompatGraph:

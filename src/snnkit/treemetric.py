@@ -47,6 +47,29 @@ def _unit(x: int) -> float:
     return _mix(x) / 2.0 ** 64
 
 
+def _split(ilo, ihi, key: int, depth: int, dim: int) -> tuple[int, float, int]:
+    """(axis, split_value, cut) of a non-unit lattice cell.
+
+    The axis cycles with depth, skipping axes of unit width.  The split
+    value is drawn from the middle band [40%, 60%] of [lo, hi] on that axis;
+    cut is the last coordinate that goes left, clamped so both sides are
+    nonempty.
+    """
+    axis = depth % dim
+    for _ in range(dim):
+        if ihi[axis] > ilo[axis]:
+            break
+        axis = (axis + 1) % dim
+    a, b = ilo[axis], ihi[axis]
+    s = 0.6 * a + 0.4 * b + 0.2 * (b - a) * _unit(key ^ 3)
+    cut = math.floor(s)
+    if cut < a:
+        cut = a
+    elif cut > b - 1:
+        cut = b - 1
+    return axis, s, cut
+
+
 @dataclass(eq=False)
 class TreeNode:
     """Node of an eagerly built point-set tree."""
@@ -176,15 +199,7 @@ class TreeMetric:
     def _lattice_split(self, cell: LatticeCell):
         """(axis, split_value, cut, left_cell, right_cell) of a non-unit cell."""
         ilo, ihi, key, depth = cell.ilo, cell.ihi, cell.key, cell.depth
-        axis = depth % self.dim
-        for _ in range(self.dim):
-            if ihi[axis] > ilo[axis]:
-                break
-            axis = (axis + 1) % self.dim
-        a, b = float(ilo[axis]), float(ihi[axis])
-        s = 0.6 * a + 0.4 * b + 0.2 * (b - a) * _unit(key ^ 3)
-        cut = math.floor(s)
-        cut = min(max(cut, ilo[axis]), ihi[axis] - 1)
+        axis, s, cut = _split(ilo, ihi, key, depth, self.dim)
         llo, lhi = list(ilo), list(ihi)
         rlo, rhi = list(ilo), list(ihi)
         lhi[axis] = cut
@@ -232,12 +247,6 @@ class TreeMetric:
             return np.array(h.ilo, dtype=float)
         return self.points[h.members[0]]
 
-    def node_leaf_index(self, h) -> int:
-        """Index of a leaf's point in the deduplicated point array."""
-        if self.kind == "points":
-            return int(h.members[0])
-        raise TypeError("lattice leaves have no point index")
-
     # ---------- distances ----------
 
     def _check_point(self, p) -> np.ndarray:
@@ -284,20 +293,9 @@ class TreeMetric:
         key = self.root.key
         depth = 0
         while True:
-            axis = depth % dim
-            for _ in range(dim):
-                if ihi[axis] > ilo[axis]:
-                    break
-                axis = (axis + 1) % dim
-            if ihi[axis] == ilo[axis]:
+            if ilo == ihi:
                 return 0.0  # unit cell reached together: identical points
-            lo_ax, hi_ax = ilo[axis], ihi[axis]
-            s = 0.6 * lo_ax + 0.4 * hi_ax + 0.2 * (hi_ax - lo_ax) * _unit(key ^ 3)
-            cut = math.floor(s)
-            if cut < lo_ax:
-                cut = lo_ax
-            elif cut > hi_ax - 1:
-                cut = hi_ax - 1
+            axis, _, cut = _split(ilo, ihi, key, depth, dim)
             sa, sb = a[axis] <= cut, b[axis] <= cut
             if sa == sb:
                 if sa:
@@ -335,18 +333,7 @@ class TreeMetric:
             acc += math.sqrt(ssq)
             if unit:
                 return acc
-            axis = depth % dim
-            for _ in range(dim):
-                if ihi[axis] > ilo[axis]:
-                    break
-                axis = (axis + 1) % dim
-            lo_ax, hi_ax = ilo[axis], ihi[axis]
-            s = 0.6 * lo_ax + 0.4 * hi_ax + 0.2 * (hi_ax - lo_ax) * _unit(key ^ 3)
-            cut = math.floor(s)
-            if cut < lo_ax:
-                cut = lo_ax
-            elif cut > hi_ax - 1:
-                cut = hi_ax - 1
+            axis, _, cut = _split(ilo, ihi, key, depth, dim)
             if pt[axis] <= cut:
                 ihi[axis] = cut
                 key = _mix(key ^ 1)

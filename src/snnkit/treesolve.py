@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Assignment, SnnInstance, cost, cost_points
+from .core import (Assignment, SnnInstance, _classes, _collapsed, _directed, _icm,
+                   _shared_scorer, cost, cost_points)
 from .metric import LatticeBox
 from .nn import lattice_nn_map
 from .treemetric import TreeMetric, build_tree_metric
 
-_EPS = 1e-12
+# label distance of the two child choices: separation is paid when they differ
+_SIDE_DIST = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _dist_to_box(Q: np.ndarray, lo, hi) -> np.ndarray:
@@ -32,73 +34,11 @@ def _dist_to_box(Q: np.ndarray, lo, hi) -> np.ndarray:
     return np.linalg.norm(c - Q, axis=1)
 
 
-def _collapsed(inst: SnnInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct edge endpoints with summed lambda * multiplicity weights."""
-    w: dict[tuple[int, int], float] = {}
-    for row, lam in zip(inst.graph.edges, inst.lam):
-        key = (int(row[0]), int(row[1]))
-        w[key] = w.get(key, 0.0) + float(lam * row[2])
-    if not w:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.copy(), np.zeros(0)
-    keys = sorted(w)
-    i = np.array([a for a, _ in keys], dtype=np.int64)
-    j = np.array([b for _, b in keys], dtype=np.int64)
-    return i, j, np.array([w[k] for k in keys])
-
-
-def _icm_bipartite(side, c_choose, coloring, act, es, ed, epen, passes):
-    """In-place relaxation of binary side choices; exact per color class."""
-    for _ in range(passes):
-        changed = False
-        for cls in (0, 1):
-            mask = act & (coloring == cls)
-            if not mask.any():
-                continue
-            c0, c1 = c_choose[0].copy(), c_choose[1].copy()
-            if len(es):
-                other = side[ed]
-                np.add.at(c0, es, epen * (other == 1))
-                np.add.at(c1, es, epen * (other == 0))
-            cur = np.where(side == 1, c1, c0)
-            best_side = (c1 < c0).astype(np.int8)
-            best = np.minimum(c0, c1)
-            flip = mask & (best < cur - _EPS) & (best_side != side)
-            if flip.any():
-                side[flip] = best_side[flip]
-                changed = True
-        if not changed:
-            break
-
-
-def _icm_sequential(side, c_choose, act, es, ed, epen, passes):
-    adj: dict[int, list[tuple[int, float]]] = {}
-    for s, d, w in zip(es, ed, epen):
-        adj.setdefault(int(s), []).append((int(d), float(w)))
-    todo = np.where(act)[0]
-    for _ in range(passes):
-        changed = False
-        for v in todo:
-            c = [c_choose[0][v], c_choose[1][v]]
-            for u, w in adj.get(int(v), ()):
-                c[0] += w * (side[u] == 1)
-                c[1] += w * (side[u] == 0)
-            s = 1 if c[1] < c[0] else 0
-            if s != side[v] and c[s] < c[side[v]] - _EPS:
-                side[v] = s
-                changed = True
-        if not changed:
-            break
-
-
 def _descend(inst: SnnInstance, tm: TreeMetric, passes: int):
     """Route all queries to leaves; returns chosen label points and leaves."""
     Q = np.asarray(inst.queries, dtype=float)
     k = len(Q)
-    pe_i, pe_j, pe_w = _collapsed(inst)
-    de_src = np.concatenate([pe_i, pe_j])
-    de_dst = np.concatenate([pe_j, pe_i])
-    de_w = np.concatenate([pe_w, pe_w])
+    de_src, de_dst, de_w = _directed(*_collapsed(inst))
     coloring = inst.graph.two_coloring()
 
     handles: list = [tm.root] * k
@@ -149,10 +89,9 @@ def _descend(inst: SnnInstance, tm: TreeMetric, passes: int):
             es = ed = np.zeros(0, dtype=np.int64)
             epen = np.zeros(0)
         if len(es):
-            if coloring is not None:
-                _icm_bipartite(side, (uA, uB), coloring, act, es, ed, epen, passes)
-            else:
-                _icm_sequential(side, (uA, uB), act, es, ed, epen, passes)
+            uAB = np.stack([uA, uB], axis=1)
+            choose = _shared_scorer(lambda rows: uAB[rows], lambda u: _SIDE_DIST[:, u])
+            _icm(side, _classes(coloring, np.flatnonzero(act)), es, ed, epen, choose, passes)
         for q in np.where(act)[0]:
             left, right = children[gid[q]]
             handles[q] = left if side[q] == 0 else right
@@ -163,119 +102,39 @@ def _refine_explicit(inst: SnnInstance, cur: np.ndarray, passes: int) -> np.ndar
     """Coordinate descent over the full explicit label set, true objective."""
     Q = np.asarray(inst.queries, dtype=float)
     pool = np.asarray(inst.labels, dtype=float)
-    k, L = len(Q), len(pool)
-    pe_i, pe_j, pe_w = _collapsed(inst)
-    coloring = inst.graph.two_coloring()
+    kap = inst.kappa
+    score = _shared_scorer(lambda rows: kap[rows, None] * inst.space.cross(Q[rows], pool),
+                           lambda u: inst.space.cross(pool, pool[u]))
+    classes = _classes(inst.graph.two_coloring(), np.arange(len(Q)))
+    return _icm(cur, classes, *_directed(*_collapsed(inst)), score, passes)
+
+
+def _lattice_scorer(inst: SnnInstance):
+    """Per-row candidates: own color, current label, then neighbors' labels."""
+    Q = np.asarray(inst.queries, dtype=float)
+    own = lattice_nn_map(inst.labels, Q).astype(float)
     kap = inst.kappa
 
-    if coloring is None:
-        nbrs: dict[int, list[tuple[int, float]]] = {}
-        for i, j, w in zip(pe_i, pe_j, pe_w):
-            nbrs.setdefault(int(i), []).append((int(j), float(w)))
-            nbrs.setdefault(int(j), []).append((int(i), float(w)))
-        for _ in range(passes):
-            changed = False
-            for v in range(k):
-                score = kap[v] * np.linalg.norm(pool - Q[v], axis=1)
-                for u, w in nbrs.get(v, ()):
-                    score += w * np.linalg.norm(pool - pool[cur[u]], axis=1)
-                c = int(np.argmin(score))
-                if c != cur[v] and score[c] < score[cur[v]] - _EPS:
-                    cur[v] = c
-                    changed = True
-            if not changed:
-                break
-        return cur
-
-    de_src = np.concatenate([pe_i, pe_j])
-    de_dst = np.concatenate([pe_j, pe_i])
-    de_w = np.concatenate([pe_w, pe_w])
-    for _ in range(passes):
-        changed = False
-        for cls in (0, 1):
-            rows = np.where(coloring == cls)[0]
-            if not len(rows):
-                continue
-            local = np.full(k, -1, dtype=np.int64)
-            local[rows] = np.arange(len(rows))
-            d_q = kap[rows, None] * inst.space.cross(Q[rows], pool)
-            uvals, inv = np.unique(cur, return_inverse=True)
-            if len(de_src):
-                sel = local[de_src] >= 0
-                a = np.zeros((len(rows), len(uvals)))
-                np.add.at(a, (local[de_src[sel]], inv[de_dst[sel]]), de_w[sel])
-                d_cur = inst.space.cross(pool, pool[uvals])  # (L, U)
-                score = d_q + a @ d_cur.T
-            else:
-                score = d_q
-            new = np.argmin(score, axis=1)
-            old = cur[rows]
-            better = score[np.arange(len(rows)), new] < score[np.arange(len(rows)), old] - _EPS
-            upd = better & (new != old)
-            if upd.any():
-                cur[rows[upd]] = new[upd]
-                changed = True
-        if not changed:
-            break
-    return cur
+    def score(cur, rows, li, nd, nw):
+        deg = np.bincount(li, minlength=len(rows))
+        cand = np.repeat(cur[rows][:, None, :], 2 + int(deg.max(initial=0)), axis=1)
+        cand[:, 0] = own[rows]
+        # slots 2.. hold the neighbors' current labels, in edge order
+        order = np.argsort(li, kind="stable")
+        slot = 2 + np.arange(len(li)) - (np.cumsum(deg) - deg)[li[order]]
+        cand[li[order], slot] = cur[nd[order]]
+        s = kap[rows, None] * np.linalg.norm(cand - Q[rows][:, None, :], axis=2)
+        if len(li):
+            term = nw[:, None] * np.linalg.norm(cand[li] - cur[nd][:, None, :], axis=2)
+            np.add.at(s, li, term)
+        return s, 1, cand
+    return score
 
 
 def _refine_lattice(inst: SnnInstance, cur_pts: np.ndarray, passes: int) -> np.ndarray:
     """Candidate-set coordinate descent for lattice label spaces."""
-    Q = np.asarray(inst.queries, dtype=float)
-    box: LatticeBox = inst.labels
-    k = len(Q)
-    own = lattice_nn_map(box, Q).astype(float)
-    pe_i, pe_j, pe_w = _collapsed(inst)
-    coloring = inst.graph.two_coloring()
-    kap = inst.kappa
-    de_src = np.concatenate([pe_i, pe_j])
-    de_dst = np.concatenate([pe_j, pe_i])
-    de_w = np.concatenate([pe_w, pe_w])
-
-    classes = [np.where(coloring == c)[0] for c in (0, 1)] if coloring is not None \
-        else [np.arange(k)]
-    sequential = coloring is None
-
-    for _ in range(passes):
-        changed = False
-        for rows in classes:
-            if not len(rows):
-                continue
-            if sequential:
-                it = [np.array([v]) for v in rows]
-            else:
-                it = [rows]
-            for rr in it:
-                local = np.full(k, -1, dtype=np.int64)
-                local[rr] = np.arange(len(rr))
-                deg = np.zeros(len(rr), dtype=np.int64)
-                sel = np.where(local[de_src] >= 0)[0]
-                np.add.at(deg, local[de_src[sel]], 1)
-                smax = 2 + (int(deg.max()) if len(deg) else 0)
-                cand = np.repeat(cur_pts[rr][:, None, :], smax, axis=1)
-                cand[:, 0] = own[rr]
-                # slots 2.. filled with neighbors' current labels
-                slot = np.full(len(rr), 2, dtype=np.int64)
-                for e in sel:
-                    li = local[de_src[e]]
-                    cand[li, slot[li]] = cur_pts[de_dst[e]]
-                    slot[li] += 1
-                score = kap[rr, None] * np.linalg.norm(cand - Q[rr][:, None, :], axis=2)
-                if len(sel):
-                    li = local[de_src[sel]]
-                    term = de_w[sel, None] * np.linalg.norm(
-                        cand[li] - cur_pts[de_dst[sel]][:, None, :], axis=2)
-                    np.add.at(score, li, term)
-                best = np.argmin(score, axis=1)
-                curscore = score[:, 1]
-                better = score[np.arange(len(rr)), best] < curscore - _EPS
-                if better.any():
-                    cur_pts[rr[better]] = cand[np.arange(len(rr))[better], best[better]]
-                    changed = True
-        if not changed:
-            break
-    return cur_pts
+    classes = _classes(inst.graph.two_coloring(), np.arange(inst.k))
+    return _icm(cur_pts, classes, *_directed(*_collapsed(inst)), _lattice_scorer(inst), passes)
 
 
 def euclidean_refine(inst: SnnInstance, labels, passes: int = 10) -> Assignment:

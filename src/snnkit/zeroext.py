@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Assignment, DEFAULT_GUARD, GuardExceededError, SnnInstance, cost, nn_label_map
-
-_CHUNK = 1 << 18
+from .core import (Assignment, DEFAULT_GUARD, GuardExceededError, SnnInstance, _enumerate, cost,
+                   nn_label_map)
 
 
 @dataclass(eq=False)
@@ -87,15 +86,17 @@ def zero_ext_exact(z: ZeroExtInstance, guard: int = DEFAULT_GUARD) -> tuple[np.n
     vertices in id order).
     """
     t, fcnt = z.n_terminals, z.n_free
-    states = t ** fcnt
-    if states > guard:
+    if t ** fcnt > guard:
         raise GuardExceededError(
-            f"enumeration over {t}^{fcnt} = {states} mappings exceeds guard {guard}")
+            f"enumeration over {t}^{fcnt} mappings exceeds guard {guard}")
     dt = z.terminal_dists()
 
+    # terminal-terminal edges are a constant, terminal-free edges unary costs
     const = 0.0
     unary = np.zeros((fcnt, t))
-    pair: list[tuple[int, int, float]] = []
+    pi: list[int] = []
+    pj: list[int] = []
+    pw: list[float] = []
     for u, v, w in z.edges:
         u, v = int(u), int(v)
         if u < t and v < t:
@@ -104,26 +105,14 @@ def zero_ext_exact(z: ZeroExtInstance, guard: int = DEFAULT_GUARD) -> tuple[np.n
             term, free = (u, v) if u < t else (v, u)
             unary[free - t] += w * dt[term]
         else:
-            pair.append((u - t, v - t, float(w)))
+            pi.append(u - t)
+            pj.append(v - t)
+            pw.append(float(w))
 
     if fcnt == 0:
         return np.arange(t, dtype=np.int64), float(const)
-
-    base = t ** np.arange(fcnt - 1, -1, -1, dtype=np.int64)
-    best_cost, best_state = np.inf, -1
-    for start in range(0, states, _CHUNK):
-        offs = np.arange(start, min(states, start + _CHUNK), dtype=np.int64)
-        digits = (offs[None, :] // base[:, None]) % t
-        c = unary[np.arange(fcnt)[:, None], digits].sum(axis=0) + const
-        for i, j, w in pair:
-            c += w * dt[digits[i], digits[j]]
-        pos = int(np.argmin(c))
-        if c[pos] < best_cost:
-            best_cost = float(c[pos])
-            best_state = start + pos
-    digits = (best_state // base) % t
-    mapping = np.concatenate([np.arange(t, dtype=np.int64), digits])
-    return mapping, best_cost
+    digits, best = _enumerate(unary, pi, pj, pw, dt)
+    return np.concatenate([np.arange(t, dtype=np.int64), digits]), best + const
 
 
 def snn_to_zero_extension(inst: SnnInstance, nn_idx=None) -> ZeroExtInstance:

@@ -98,12 +98,6 @@ def test_denoise_patches_subcommand(tmp_path, capsys):
     assert load_json(tmp_path / "p-report.json")["schema"] == "patch-report/1"
 
 
-def test_bench_subcommand(capsys):
-    assert main(["bench", "--grids", "4x4,6x6"]) == 0
-    txt = capsys.readouterr().out
-    assert "4x4" in txt and "6x6" in txt
-
-
 def test_missing_file_exits_2(tmp_path):
     assert main(["oracle", str(tmp_path / "nope.json")]) == 2
 

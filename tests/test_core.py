@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from oracles import enum_opt
 from snnkit.core import (GuardExceededError, brute_force_opt, cost,
                          cost_points, make_instance, nn_label_map,
                          pruning_gap)
+from snnkit.denoise import NoiseConfig, add_noise, pixel_instance
 from snnkit.generators import random_instance
 from snnkit.metric import EuclideanSpace, LatticeBox
 
@@ -118,6 +121,21 @@ def test_guard_raises():
     inst = make_instance(sp, labels, queries)
     with pytest.raises(GuardExceededError):
         brute_force_opt(inst, guard=10 ** 6)
+
+
+@pytest.mark.parametrize("label_space", ["image", "full"])
+def test_guard_refuses_pixel_instance_before_allocating(cartoon, label_space):
+    noisy = add_noise(cartoon, NoiseConfig(kind="gaussian", sigma=10.0, seed=42))
+    inst = pixel_instance(noisy, label_space)  # 4096 queries; ~4050 or 256^3 labels
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceededError):
+            brute_force_opt(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (k, L) unary matrix alone would take 133 MB on the palette
+    assert peak < 8 * 2 ** 20
 
 
 def test_lattice_instance_brute_force_small_box():

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import min_max_outdegree
-from snnkit.graphs import (CompatGraph, Orientation, exact_pseudoarboricity,
-                           grid_graph, orient_edges)
+from snnkit.graphs import CompatGraph, Orientation, grid_graph, orient_edges
 
 
 def test_compat_graph_requires_canonical_edges():
@@ -102,9 +101,7 @@ def test_peeling_r_within_twice_exact(n, raw):
     pairs = [(i % n, j % n) for i, j in raw if i % n != j % n]
     g = CompatGraph.from_pairs(n, pairs) if pairs else CompatGraph(n, np.zeros((0, 3), int))
     o = orient_edges(g)
-    exact = exact_pseudoarboricity(g)
-    ref = min_max_outdegree(n, [(int(i), int(j)) for i, j in g.expanded()])
-    assert exact == ref
+    exact = min_max_outdegree(n, [(int(i), int(j)) for i, j in g.expanded()])
     if exact == 0:
         assert o.r == 0
     else:
@@ -112,15 +109,6 @@ def test_peeling_r_within_twice_exact(n, raw):
 
 
 def test_exact_pseudoarboricity_known_values():
-    tri = CompatGraph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
-    assert exact_pseudoarboricity(tri) == 1
-    par = CompatGraph(2, np.array([[0, 1, 3]]))
-    assert exact_pseudoarboricity(par) == 2
-    star = CompatGraph.from_pairs(5, [(0, i) for i in range(1, 5)])
-    assert exact_pseudoarboricity(star) == 1
-
-
-def test_exact_pseudoarboricity_refuses_big():
-    g = CompatGraph(10, np.array([[i, i + 1, 2] for i in range(9)]))
-    with pytest.raises(ValueError):
-        exact_pseudoarboricity(g)
+    assert min_max_outdegree(3, [(0, 1), (1, 2), (0, 2)]) == 1   # triangle
+    assert min_max_outdegree(2, [(0, 1)] * 3) == 2               # triple edge
+    assert min_max_outdegree(5, [(0, i) for i in range(1, 5)]) == 1  # star

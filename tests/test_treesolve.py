@@ -5,7 +5,7 @@ import pytest
 
 from snnkit.core import brute_force_opt, cost, make_instance
 from snnkit.generators import random_instance
-from snnkit.graphs import grid_graph
+from snnkit.graphs import CompatGraph, grid_graph
 from snnkit.metric import EuclideanSpace, LatticeBox
 from snnkit.treemetric import TreeMetric
 from snnkit.treesolve import euclidean_refine, tree_labeling_solve
@@ -82,6 +82,27 @@ def test_refine_never_increases_cost():
         ref = euclidean_refine(inst, start)
         assert ref.total <= before + 1e-9
         assert cost(inst, ref.idx).total == pytest.approx(ref.total, abs=1e-9)
+
+
+@pytest.mark.parametrize("graph, bipartite", [
+    (grid_graph(3, 3), True),                                    # moves a color class at once
+    (CompatGraph.from_pairs(5, [(i, (i + 1) % 5) for i in range(5)]), False),  # one query at a time
+], ids=["grid3x3", "cycle5"])
+def test_refine_ends_where_no_single_move_helps(graph, bipartite):
+    assert (graph.two_coloring() is not None) == bipartite
+    rng = np.random.default_rng(31)
+    k = graph.n
+    for _ in range(25):
+        labels = rng.uniform(0, 10, size=(int(rng.integers(2, 9)), 2))
+        inst = make_instance(EuclideanSpace(2), labels, rng.uniform(0, 10, size=(k, 2)),
+                             graph, kappa=rng.uniform(0.2, 2.0, size=k),
+                             lam=rng.uniform(0.2, 2.0, size=graph.num_entries))
+        a = euclidean_refine(inst, rng.integers(0, len(labels), size=k), passes=100)
+        for q in range(k):
+            for lab in range(len(labels)):
+                moved = a.idx.copy()
+                moved[q] = lab
+                assert cost(inst, moved).total >= a.total - 1e-9
 
 
 def test_refine_fixes_an_obvious_mistake():
