@@ -36,8 +36,7 @@ def _write_or_print(doc: dict, out: str | None):
 
 def cmd_solve(args) -> int:
     inst = sio.load_instance(args.instance)
-    stage2 = Stage2Solver(kind=args.stage2, rng_seed=args.seed)
-    a = inn_solve(inst, stage2)
+    a = inn_solve(inst, Stage2Solver(kind=args.stage2))
     pl = pruned_label_set(inst)
     print(f"pruned labels: {len(pl.label_points)} of {inst.n_labels}")
     print(f"nn={a.nn_cost:.6f} pw={a.pw_cost:.6f} total={a.total:.6f}")
@@ -148,31 +147,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="snn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, out=True):
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        if out:
-            sp.add_argument("-o", "--out", default=None, help="output JSON path")
+    def add_out(sp):
+        sp.add_argument("-o", "--out", default=None, help="output JSON path")
 
     sp = sub.add_parser("solve", help="prune then solve an instance file")
     sp.add_argument("instance")
-    sp.add_argument("--stage2", choices=["auto", "exact", "tree", "rplus"],
+    sp.add_argument("--stage2", choices=["auto", "exact", "icm", "rplus"],
                     default="auto")
-    add_common(sp)
+    add_out(sp)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("oracle", help="exact optimum by enumeration")
     sp.add_argument("instance")
-    add_common(sp)
+    add_out(sp)
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("gap", help="exact pruning gap of an instance file")
     sp.add_argument("instance")
-    add_common(sp)
+    add_out(sp)
     sp.set_defaults(func=cmd_gap)
 
     sp = sub.add_parser("rplus", help="orientation-based aggregate-NN solver")
     sp.add_argument("instance")
-    add_common(sp)
+    add_out(sp)
     sp.set_defaults(func=cmd_rplus)
 
     sp = sub.add_parser("lowerbound", help="emit a hard pruning instance")
@@ -180,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, default=3)
     sp.add_argument("--mult", type=int, default=0,
                     help="edge multiplicity; 0 picks ceil(sqrt(log2 k))")
-    add_common(sp)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    add_out(sp)
     sp.set_defaults(func=cmd_lowerbound)
 
     def add_noise_args(sp):

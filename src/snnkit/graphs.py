@@ -119,11 +119,6 @@ class Orientation:
         if not np.all(ok):
             raise ValueError("each instance must be owned by one of its endpoints")
 
-    def out_degrees(self, n: int) -> np.ndarray:
-        deg = np.zeros(n, dtype=np.int64)
-        np.add.at(deg, self.owner, 1)
-        return deg
-
 
 def orient_edges(g: CompatGraph) -> Orientation:
     """Greedy minimum-degree peeling orientation.

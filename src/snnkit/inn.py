@@ -3,8 +3,9 @@
 Stage 1 replaces the label set with the distinct nearest labels of the
 queries (for lattice label spaces this is exactly the set of query colors
 rounded to the lattice).  Stage 2 solves the joint objective restricted to
-the pruned set, by exact enumeration, the tree-descent heuristic, or the
-orientation-based aggregate-NN solver.
+the pruned set, by exact enumeration, by iterated conditional modes (ICM)
+started from the stage-1 nearest-label map, or by the orientation-based
+aggregate-NN solver.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .core import (Assignment, DEFAULT_GUARD, SnnInstance, brute_force_opt,
                    nn_label_map)
 from .graphs import orient_edges
 from .sparse import rplus_solve
-from .treesolve import tree_labeling_solve
+from .treesolve import euclidean_refine
 
 _EXACT_MAX_K = 8
 
@@ -27,17 +28,14 @@ class Stage2Solver:
     """Configuration of the second stage.
 
     kind "auto" picks exact enumeration for small instances (at most 8
-    queries and within the enumeration guard) and the tree heuristic
-    otherwise.
+    queries and within the enumeration guard) and ICM otherwise.
     """
     kind: str = "auto"
-    rng_seed: int = 42
     guard: int = DEFAULT_GUARD
-    descent_passes: int = 20
     refine_passes: int = 10
 
     def __post_init__(self):
-        if self.kind not in ("auto", "exact", "tree", "rplus"):
+        if self.kind not in ("auto", "exact", "icm", "rplus"):
             raise ValueError(f"unknown stage-2 solver {self.kind!r}")
 
 
@@ -74,7 +72,7 @@ def inn_solve(inst: SnnInstance, stage2: Stage2Solver | None = None) -> Assignme
     kind = stage2.kind
     if kind == "auto":
         feasible = inst.k <= _EXACT_MAX_K and n_pruned ** inst.k <= stage2.guard
-        kind = "exact" if feasible else "tree"
+        kind = "exact" if feasible else "icm"
 
     if kind == "exact":
         if inst.has_explicit_labels:
@@ -85,10 +83,13 @@ def inn_solve(inst: SnnInstance, stage2: Stage2Solver | None = None) -> Assignme
                           total=a.total, idx=None)
 
     sub = replace(inst, labels=pl.label_points)
-    if kind == "tree":
-        a = tree_labeling_solve(sub, rng_seed=stage2.rng_seed,
-                                descent_passes=stage2.descent_passes,
-                                refine_passes=stage2.refine_passes)
+    if kind == "icm":
+        # the nearest-label map, as ids into the pruned set
+        if inst.has_explicit_labels:
+            start = np.searchsorted(pl.label_idx, pl.nn_idx)
+        else:
+            start = np.unique(pl.nn_points, axis=0, return_inverse=True)[1].reshape(-1)
+        a = euclidean_refine(sub, start, passes=stage2.refine_passes)
     else:  # rplus
         a = rplus_solve(sub, orient_edges(inst.graph))
     if inst.has_explicit_labels and a.idx is not None:

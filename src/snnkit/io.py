@@ -131,10 +131,3 @@ def save_instance(path, inst: SnnInstance) -> None:
 def load_instance(path) -> SnnInstance:
     return instance_from_dict(load_json(path))
 
-
-def save_zeroext(path, z: ZeroExtInstance) -> None:
-    save_json(path, zeroext_to_dict(z))
-
-
-def load_zeroext(path) -> ZeroExtInstance:
-    return zeroext_from_dict(load_json(path))

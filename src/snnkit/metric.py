@@ -172,19 +172,6 @@ class LatticeBox:
             return False
         return bool(np.all(a >= self.lo) and np.all(a <= self.hi) and np.all(a == np.floor(a)))
 
-    def nearest_point(self, q) -> np.ndarray:
-        """Closest lattice point to q; coordinate ties round down (smaller id)."""
-        a = np.asarray(q, dtype=float)
-        r = np.ceil(a - 0.5)
-        return np.clip(r, self.lo, self.hi).astype(np.int64)
-
-    def point_id(self, p) -> int:
-        a = np.asarray(p, dtype=np.int64) - self.lo
-        rank = 0
-        for c in a:
-            rank = rank * self.side + int(c)
-        return rank
-
     def all_points(self) -> np.ndarray:
         """Materialize every lattice point in id order. Guard before calling."""
         axes = [np.arange(self.lo, self.hi + 1)] * self.dim

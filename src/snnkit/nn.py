@@ -1,26 +1,21 @@
-"""Exact nearest-neighbor queries over explicit point sets and lattice boxes.
+"""Exact nearest-neighbor maps over explicit point sets and lattice boxes.
 
 All answers agree with the brute-force linear scan, including ties, which go
-to the smallest point id.  For large Euclidean point sets a kd-tree narrows
-the candidate set first; candidates are then re-scored with the same
-arithmetic as the scan so the two paths cannot disagree.
+to the smallest point id.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .metric import EuclideanSpace, LatticeBox
+from .metric import LatticeBox
 
-_ACCEL_MIN = 256
 _CHUNK = 1 << 20
 
 
 class NnIndex:
     """Nearest-neighbor index over an explicit list of labels.
 
-    Point ids are positions in the given array.  The kd-tree accelerator is
-    attached only for Euclidean spaces with enough points to matter.
+    Point ids are positions in the given array.
     """
 
     def __init__(self, space, points):
@@ -28,27 +23,12 @@ class NnIndex:
         self.points = np.asarray(points)
         if self.points.size == 0:
             raise ValueError("cannot index an empty point set")
-        self.accel = None
-        if getattr(space, "kind", None) == "euclidean" and len(self.points) >= _ACCEL_MIN:
-            self.accel = cKDTree(np.atleast_2d(self.points))
 
     def __len__(self):
         return len(self.points)
 
-    def nearest(self, q) -> int:
-        """Id of the closest label; ties broken by smallest id."""
-        if self.accel is not None:
-            qf = np.asarray(q, dtype=float)
-            d0, _ = self.accel.query(qf)
-            cand = self.accel.query_ball_point(qf, d0 * (1 + 1e-9) + 1e-12)
-            cand = np.sort(np.asarray(cand, dtype=np.int64))
-            d = self.space.cross(self.points[cand], _stack_points(self.space, q)).ravel()
-            return int(cand[np.argmin(d)])
-        d = self.space.cross(self.points, _stack_points(self.space, q)).ravel()
-        return int(np.argmin(d))
-
     def nn_map(self, queries) -> np.ndarray:
-        """Vectorized nearest over many queries; same tie rule as nearest."""
+        """Id of the closest label for every query; ties go to the smallest id."""
         qs = np.asarray(queries)
         k = len(qs)
         out = np.empty(k, dtype=np.int64)
@@ -57,28 +37,6 @@ class NnIndex:
             d = self.space.cross(qs[s:s + step], self.points)
             out[s:s + step] = np.argmin(d, axis=1)
         return out
-
-    def aggregate_nearest(self, q, anchors, weights) -> int:
-        """Label minimizing dist(q, p) + sum_j w_j * dist(anchor_j, p).
-
-        Answered by a full linear scan; ties go to the smallest id.
-        """
-        w = np.asarray(weights, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("anchor weights must be nonnegative")
-        anc = np.asarray(anchors)
-        if len(anc) != len(w):
-            raise ValueError("anchors and weights must align")
-        score = self.space.cross(self.points, _stack_points(self.space, q)).ravel()
-        if len(anc):
-            score = score + self.space.cross(self.points, anc) @ w
-        return int(np.argmin(score))
-
-
-def _stack_points(space, q):
-    if isinstance(space, EuclideanSpace):
-        return np.atleast_2d(np.asarray(q, dtype=float))
-    return np.atleast_1d(q)
 
 
 def lattice_nn_map(box: LatticeBox, queries) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Randomized kd-split tree metrics that dominate the Euclidean distance.
+"""Randomized kd-split tree metrics over an integer lattice that dominate the
+Euclidean distance.
 
 A tree metric is built by recursively splitting an axis-aligned box at a
 uniformly random position inside the middle band of the split axis (between
@@ -10,22 +11,15 @@ ancestor's level on the two descent paths (the arm cells, leaves included).
 Because child cover widths add up to the parent's along the split axis, this
 sum always dominates the Euclidean distance between the points.
 
-Two backends:
-
-* integer lattices {lo..hi}^dim are handled lazily; a cell's split is a pure
-  function of the seed and the cell's descent path, so the (possibly 256^3
-  sized) tree is never materialized.  The cell [a, b] on an axis is treated
-  as covering the continuous interval [a, b+1], which keeps child widths
-  summing exactly to the parent width.
-
-* explicit point sets are built eagerly; splits are drawn from the members'
-  bounding interval along the axis, which keeps both children nonempty.
+The lattice {lo..hi}^dim is handled lazily: a cell's split is a pure
+function of the seed and the cell's descent path, so the (possibly 256^3
+sized) tree is never materialized.  The cell [a, b] on an axis is treated as
+covering the continuous interval [a, b+1], which keeps child widths summing
+exactly to the parent width.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,13 +41,13 @@ def _unit(x: int) -> float:
     return _mix(x) / 2.0 ** 64
 
 
-def _split(ilo, ihi, key: int, depth: int, dim: int) -> tuple[int, float, int]:
-    """(axis, split_value, cut) of a non-unit lattice cell.
+def _split(ilo, ihi, key: int, depth: int, dim: int) -> tuple[int, int]:
+    """(axis, cut) of a non-unit lattice cell.
 
-    The axis cycles with depth, skipping axes of unit width.  The split
-    value is drawn from the middle band [40%, 60%] of [lo, hi] on that axis;
-    cut is the last coordinate that goes left, clamped so both sides are
-    nonempty.
+    The axis cycles with depth, skipping axes of unit width.  A split value
+    is drawn from the middle band [40%, 60%] of [lo, hi] on that axis; cut,
+    its floor, is the last coordinate that goes left, clamped so both sides
+    are nonempty.
     """
     axis = depth % dim
     for _ in range(dim):
@@ -67,30 +61,7 @@ def _split(ilo, ihi, key: int, depth: int, dim: int) -> tuple[int, float, int]:
         cut = a
     elif cut > b - 1:
         cut = b - 1
-    return axis, s, cut
-
-
-@dataclass(eq=False)
-class TreeNode:
-    """Node of an eagerly built point-set tree."""
-    cover_lo: np.ndarray
-    cover_hi: np.ndarray
-    member_lo: np.ndarray
-    member_hi: np.ndarray
-    members: np.ndarray              # indices into the deduplicated point array
-    depth: int
-    axis: int = -1
-    split_value: float = np.nan
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    @property
-    def diam(self) -> float:
-        return float(np.linalg.norm(self.cover_hi - self.cover_lo))
+    return axis, cut
 
 
 class LatticeCell(tuple):
@@ -119,166 +90,56 @@ def _cell(ilo, ihi, key, depth) -> LatticeCell:
 
 
 class TreeMetric:
-    """Random-split tree metric over a lattice box or an explicit point set.
+    """Random-split tree metric over a lattice box.
 
     Construction is deterministic given the seed.  Use tree_dist for
-    distances between points of the embedded set; the solver-facing node
-    accessors expose cover boxes, achievable-label boxes and leaf points.
+    distances between lattice points; the solver-facing node accessors
+    expose cover boxes, achievable-label boxes and leaf points.
     """
 
-    def __init__(self, *, kind: str, dim: int, seed: int, box: LatticeBox | None = None,
-                 points: np.ndarray | None = None, root: object = None):
-        self.kind = kind
-        self.dim = dim
-        self.seed = seed
+    def __init__(self, box: LatticeBox, seed: int):
         self.box = box
-        self.points = points
-        self.root = root
-        self._member_keys = (None if points is None
-                             else {p.tobytes() for p in np.ascontiguousarray(points)})
-
-    # ---------- construction ----------
-
-    @classmethod
-    def for_box(cls, box: LatticeBox, seed: int) -> "TreeMetric":
-        root = _cell([box.lo] * box.dim, [box.hi] * box.dim,
-                     _mix((seed & _M64) ^ 0x5EED), 0)
-        return cls(kind="lattice", dim=box.dim, seed=seed, box=box, root=root)
-
-    @classmethod
-    def for_points(cls, points, seed: int) -> "TreeMetric":
-        pts = np.unique(np.asarray(points, dtype=float), axis=0)
-        if pts.ndim != 2 or len(pts) == 0:
-            raise ValueError("need a nonempty 2-d array of points")
-        dim = pts.shape[1]
-        rng = np.random.default_rng(seed)
-        mlo, mhi = pts.min(axis=0), pts.max(axis=0)
-        root = TreeNode(cover_lo=mlo.copy(), cover_hi=mhi.copy(),
-                        member_lo=mlo, member_hi=mhi,
-                        members=np.arange(len(pts)), depth=0)
-        # preorder, left child first, so the split draws are reproducible
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if len(node.members) == 1:
-                continue
-            ext = node.member_hi - node.member_lo
-            axis = node.depth % dim
-            for _ in range(dim):
-                if ext[axis] > 0:
-                    break
-                axis = (axis + 1) % dim
-            a, b = node.member_lo[axis], node.member_hi[axis]
-            s = float(rng.uniform(0.6 * a + 0.4 * b, 0.4 * a + 0.6 * b))
-            node.axis = axis
-            node.split_value = s
-            mpts = pts[node.members]
-            go_left = mpts[:, axis] <= s
-            for side, mask in ((0, go_left), (1, ~go_left)):
-                mem = node.members[mask]
-                side_pts = pts[mem]
-                clo, chi = node.cover_lo.copy(), node.cover_hi.copy()
-                if side == 0:
-                    chi[axis] = s
-                else:
-                    clo[axis] = s
-                child = TreeNode(cover_lo=clo, cover_hi=chi,
-                                 member_lo=side_pts.min(axis=0),
-                                 member_hi=side_pts.max(axis=0),
-                                 members=mem, depth=node.depth + 1)
-                if side == 0:
-                    node.left = child
-                else:
-                    node.right = child
-            stack.append(node.right)
-            stack.append(node.left)
-        return cls(kind="points", dim=dim, seed=seed, points=pts, root=root)
-
-    # ---------- lazy lattice splits ----------
-
-    def _lattice_split(self, cell: LatticeCell):
-        """(axis, split_value, cut, left_cell, right_cell) of a non-unit cell."""
-        ilo, ihi, key, depth = cell.ilo, cell.ihi, cell.key, cell.depth
-        axis, s, cut = _split(ilo, ihi, key, depth, self.dim)
-        llo, lhi = list(ilo), list(ihi)
-        rlo, rhi = list(ilo), list(ihi)
-        lhi[axis] = cut
-        rlo[axis] = cut + 1
-        left = _cell(llo, lhi, _mix(key ^ 1), depth + 1)
-        right = _cell(rlo, rhi, _mix(key ^ 2), depth + 1)
-        return axis, s, cut, left, right
-
-    @staticmethod
-    def _lattice_is_leaf(cell: LatticeCell) -> bool:
-        return all(h == l for l, h in zip(cell.ilo, cell.ihi))
-
-    @staticmethod
-    def _lattice_diam(cell: LatticeCell) -> float:
-        w = np.array(cell.ihi, dtype=float) - np.array(cell.ilo, dtype=float) + 1.0
-        return float(np.linalg.norm(w))
+        self.dim = box.dim
+        self.seed = seed
+        self.root = _cell([box.lo] * box.dim, [box.hi] * box.dim,
+                          _mix((seed & _M64) ^ 0x5EED), 0)
 
     # ---------- solver-facing node interface ----------
 
-    def node_is_leaf(self, h) -> bool:
-        if self.kind == "lattice":
-            return self._lattice_is_leaf(h)
-        return h.is_leaf
+    @staticmethod
+    def node_is_leaf(cell: LatticeCell) -> bool:
+        return all(h == l for l, h in zip(cell.ilo, cell.ihi))
 
-    def node_children(self, h):
-        """(left, right, axis, cut) for an internal node."""
-        if self.kind == "lattice":
-            axis, _, cut, left, right = self._lattice_split(h)
-            return left, right, axis, float(cut)
-        return h.left, h.right, h.axis, h.split_value
+    def node_children(self, cell: LatticeCell):
+        """(left, right, axis, cut) of a non-unit cell; cut is the last
+        coordinate that goes left."""
+        ilo, ihi, key, depth = cell.ilo, cell.ihi, cell.key, cell.depth
+        axis, cut = _split(ilo, ihi, key, depth, self.dim)
+        lhi, rlo = list(ihi), list(ilo)
+        lhi[axis] = cut
+        rlo[axis] = cut + 1
+        left = _cell(ilo, lhi, _mix(key ^ 1), depth + 1)
+        right = _cell(rlo, ihi, _mix(key ^ 2), depth + 1)
+        return left, right, axis, float(cut)
 
-    def node_diam(self, h) -> float:
-        if self.kind == "lattice":
-            return self._lattice_diam(h)
-        return h.diam
+    @staticmethod
+    def node_diam(cell: LatticeCell) -> float:
+        w = np.array(cell.ihi, dtype=float) - np.array(cell.ilo, dtype=float) + 1.0
+        return float(np.linalg.norm(w))
 
-    def node_label_box(self, h) -> tuple[np.ndarray, np.ndarray]:
-        """Tight box around the labels actually reachable below this node."""
-        if self.kind == "lattice":
-            return np.array(h.ilo, dtype=float), np.array(h.ihi, dtype=float)
-        return h.member_lo, h.member_hi
+    @staticmethod
+    def node_label_box(cell: LatticeCell) -> tuple[np.ndarray, np.ndarray]:
+        """Tight box around the labels reachable below this node."""
+        return np.array(cell.ilo, dtype=float), np.array(cell.ihi, dtype=float)
 
-    def node_leaf_point(self, h) -> np.ndarray:
-        if self.kind == "lattice":
-            return np.array(h.ilo, dtype=float)
-        return self.points[h.members[0]]
+    @staticmethod
+    def node_leaf_point(cell: LatticeCell) -> np.ndarray:
+        return np.array(cell.ilo, dtype=float)
 
     # ---------- distances ----------
 
-    def _check_point(self, p) -> np.ndarray:
-        a = np.asarray(p, dtype=float).reshape(-1)
-        if len(a) != self.dim:
-            raise ValueError(f"point dimension {len(a)} != {self.dim}")
-        if self.kind == "lattice":
-            if not self.box.contains(a.astype(np.int64)) or np.any(a != np.floor(a)):
-                raise ValueError("point outside the lattice box")
-        else:
-            if np.ascontiguousarray(a).tobytes() not in self._member_keys:
-                raise ValueError("point is not part of the embedded set")
-        return a
-
     def tree_dist(self, p, q) -> float:
-        """Tree distance between two points of the embedded set."""
-        if self.kind == "lattice":
-            return self._lattice_tree_dist(p, q)
-        a, b = self._check_point(p), self._check_point(q)
-        node = self.root
-        while not self.node_is_leaf(node):
-            left, right, axis, cut = self.node_children(node)
-            sa, sb = a[axis] <= cut, b[axis] <= cut
-            if sa != sb:
-                arm_a = left if sa else right
-                arm_b = right if sa else left
-                return self._arm_sum(arm_a, a) + self._arm_sum(arm_b, b)
-            node = left if sa else right
-        return 0.0
-
-    def _lattice_tree_dist(self, p, q) -> float:
-        """Plain-int descent; avoids array overhead on the hot path."""
+        """Tree distance between two lattice points; plain-int descent."""
         dim, box = self.dim, self.box
         a = [int(x) for x in np.asarray(p).reshape(-1)]
         b = [int(x) for x in np.asarray(q).reshape(-1)]
@@ -295,7 +156,7 @@ class TreeMetric:
         while True:
             if ilo == ihi:
                 return 0.0  # unit cell reached together: identical points
-            axis, _, cut = _split(ilo, ihi, key, depth, dim)
+            axis, cut = _split(ilo, ihi, key, depth, dim)
             sa, sb = a[axis] <= cut, b[axis] <= cut
             if sa == sb:
                 if sa:
@@ -316,10 +177,11 @@ class TreeMetric:
                     chi[axis] = cut
                 else:
                     clo[axis] = cut + 1
-                total += self._arm_sum_fast(pt, clo, chi, seed2, d2)
+                total += self._arm_length(pt, clo, chi, seed2, d2)
             return total
 
-    def _arm_sum_fast(self, pt, ilo, ihi, key, depth) -> float:
+    def _arm_length(self, pt, ilo, ihi, key, depth) -> float:
+        """Sum of cell diameters from the cell (ilo, ihi) down to pt's leaf."""
         dim = self.dim
         acc = 0.0
         while True:
@@ -333,7 +195,7 @@ class TreeMetric:
             acc += math.sqrt(ssq)
             if unit:
                 return acc
-            axis, _, cut = _split(ilo, ihi, key, depth, dim)
+            axis, cut = _split(ilo, ihi, key, depth, dim)
             if pt[axis] <= cut:
                 ihi[axis] = cut
                 key = _mix(key ^ 1)
@@ -342,24 +204,9 @@ class TreeMetric:
                 key = _mix(key ^ 2)
             depth += 1
 
-    def _arm_sum(self, node, point) -> float:
-        acc = 0.0
-        while True:
-            acc += self.node_diam(node)
-            if self.node_is_leaf(node):
-                return acc
-            left, right, axis, cut = self.node_children(node)
-            node = left if point[axis] <= cut else right
-
-    def root_split_value(self) -> float:
-        """Split position drawn at the root (handy for calibration checks)."""
-        if self.kind == "lattice":
-            return self._lattice_split(self.root)[1]
-        return self.root.split_value
-
 
 def build_tree_metric(labels, seed: int) -> TreeMetric:
-    """Tree metric over a LatticeBox or an explicit array of points."""
-    if isinstance(labels, LatticeBox):
-        return TreeMetric.for_box(labels, seed)
-    return TreeMetric.for_points(np.asarray(labels, dtype=float), seed)
+    """Tree metric over a LatticeBox of labels."""
+    if not isinstance(labels, LatticeBox):
+        raise ValueError("tree metrics are built over a LatticeBox label set")
+    return TreeMetric(labels, seed)

@@ -1,18 +1,20 @@
-"""Divide-and-conquer labeling over a random-split tree metric.
+"""Labeling over the integer color cube by descent through a lattice tree
+metric, and true-objective refinement by iterated conditional modes.
 
-The solver pushes every query down the tree one level at a time.  At each
-node the queries sitting there choose a child; the choice trades the
-distance from the query to the child's reachable-label box against a
-separation penalty (the two children's cover diameters) paid per edge whose
-endpoints pick different children.  Choices are relaxed by iterated
-conditional-mode sweeps, run as exact coordinate descent on the two classes
-of a bipartition when the graph is bipartite (grids are) and sequentially
-otherwise.
+The tree solver pushes every query down a random-split tree of a LatticeBox
+one level at a time.  At each node the queries sitting there choose a child;
+the choice trades the distance from the query to the child's label box
+against a separation penalty (the two children's cover diameters) paid per
+edge whose endpoints pick different children.  Choices are relaxed by
+iterated conditional-mode sweeps, run as exact coordinate descent on the
+two classes of a bipartition when the graph is bipartite (grids are) and
+sequentially otherwise.  Once every query reaches a leaf, the labeling is
+refined.
 
-Once every query reaches a leaf the labeling is polished in the true
-Euclidean objective: again coordinate descent, over the full label set for
-explicit labels and over a small candidate set (own color, current label,
-neighbors' labels) for lattice label spaces.  Polishing never increases the
+euclidean_refine polishes a labeling in the true objective by the same
+coordinate descent: over the full label set for explicit labels, in any
+metric space, and over a small candidate set (own color, current label,
+neighbors' labels) for lattice label spaces.  Refinement never increases the
 true cost.
 """
 from __future__ import annotations
@@ -35,7 +37,7 @@ def _dist_to_box(Q: np.ndarray, lo, hi) -> np.ndarray:
 
 
 def _descend(inst: SnnInstance, tm: TreeMetric, passes: int):
-    """Route all queries to leaves; returns chosen label points and leaves."""
+    """Route all queries to leaves; returns the chosen label points."""
     Q = np.asarray(inst.queries, dtype=float)
     k = len(Q)
     de_src, de_dst, de_w = _directed(*_collapsed(inst))
@@ -44,27 +46,21 @@ def _descend(inst: SnnInstance, tm: TreeMetric, passes: int):
     handles: list = [tm.root] * k
     done = np.zeros(k, dtype=bool)
     out_pts = np.zeros((k, tm.dim))
-    out_leaf: list = [None] * k
 
     while not done.all():
         groups: dict = {}
         for q in np.where(~done)[0]:
-            h = handles[q]
-            key = h if tm.kind == "lattice" else id(h)
-            groups.setdefault(key, (h, []))[1].append(int(q))
+            groups.setdefault(handles[q], []).append(int(q))
 
         gid = np.full(k, -1, dtype=np.int64)
         uA = np.zeros(k)
         uB = np.zeros(k)
         pen = np.zeros(k)
         children: list = []
-        for h, members in groups.values():
+        for h, members in groups.items():
             qidx = np.array(members, dtype=np.int64)
             if tm.node_is_leaf(h):
-                pt = tm.node_leaf_point(h)
-                out_pts[qidx] = pt
-                for q in qidx:
-                    out_leaf[q] = h
+                out_pts[qidx] = tm.node_leaf_point(h)
                 done[qidx] = True
                 continue
             left, right, _, _ = tm.node_children(h)
@@ -95,13 +91,13 @@ def _descend(inst: SnnInstance, tm: TreeMetric, passes: int):
         for q in np.where(act)[0]:
             left, right = children[gid[q]]
             handles[q] = left if side[q] == 0 else right
-    return out_pts, out_leaf
+    return out_pts
 
 
 def _refine_explicit(inst: SnnInstance, cur: np.ndarray, passes: int) -> np.ndarray:
     """Coordinate descent over the full explicit label set, true objective."""
-    Q = np.asarray(inst.queries, dtype=float)
-    pool = np.asarray(inst.labels, dtype=float)
+    Q = inst.queries
+    pool = inst.labels
     kap = inst.kappa
     score = _shared_scorer(lambda rows: kap[rows, None] * inst.space.cross(Q[rows], pool),
                            lambda u: inst.space.cross(pool, pool[u]))
@@ -140,12 +136,13 @@ def _refine_lattice(inst: SnnInstance, cur_pts: np.ndarray, passes: int) -> np.n
 def euclidean_refine(inst: SnnInstance, labels, passes: int = 10) -> Assignment:
     """Improve a labeling by true-objective coordinate descent.
 
-    labels: label ids for explicit label sets, label points for lattice
-    boxes.  The returned assignment never costs more than the input.
+    labels: label ids for explicit label sets, in any metric space, and
+    label points for lattice boxes, which need a Euclidean space.  The
+    returned assignment never costs more than the input.
     """
-    if inst.space.kind != "euclidean":
-        raise ValueError("refinement is defined for Euclidean instances")
     if isinstance(inst.labels, LatticeBox):
+        if inst.space.kind != "euclidean":
+            raise ValueError("lattice refinement is defined for Euclidean instances")
         pts = np.asarray(labels, dtype=float).copy()
         pts = _refine_lattice(inst, pts, passes)
         return cost_points(inst, pts.astype(np.int64))
@@ -157,25 +154,17 @@ def euclidean_refine(inst: SnnInstance, labels, passes: int = 10) -> Assignment:
 def tree_labeling_solve(inst: SnnInstance, tm: TreeMetric | None = None,
                         rng_seed: int = 42, descent_passes: int = 20,
                         refine_passes: int = 10) -> Assignment:
-    """Heuristic labeling by tree descent plus true-metric polishing.
+    """Heuristic labeling over a lattice label box: tree descent, then
+    true-metric refinement.
 
     Deterministic given the instance and tree; when tm is omitted one is
-    built from the label set with rng_seed.
+    built from the label box with rng_seed.
     """
-    if getattr(inst.space, "kind", None) != "euclidean":
-        raise ValueError("tree labeling requires a Euclidean instance")
+    if not isinstance(inst.labels, LatticeBox) or inst.space.kind != "euclidean":
+        raise ValueError("tree labeling needs a Euclidean instance over a lattice label box")
     if tm is None:
         tm = build_tree_metric(inst.labels, rng_seed)
-    pts, leaves = _descend(inst, tm, descent_passes)
-    if isinstance(inst.labels, LatticeBox):
-        return euclidean_refine(inst, pts.astype(np.int64), passes=refine_passes)
-    lookup: dict[bytes, int] = {}
-    lab = np.asarray(inst.labels, dtype=float)
-    for i in range(len(lab) - 1, -1, -1):
-        lookup[lab[i].tobytes()] = i
-    try:
-        idx = np.array([lookup[np.asarray(tm.node_leaf_point(h), dtype=float).tobytes()]
-                        for h in leaves], dtype=np.int64)
-    except KeyError:
-        raise ValueError("tree metric was built over a different label set") from None
-    return euclidean_refine(inst, idx, passes=refine_passes)
+    elif tm.box != inst.labels:
+        raise ValueError("tree metric was built over a different label box")
+    pts = _descend(inst, tm, descent_passes)
+    return euclidean_refine(inst, pts.astype(np.int64), passes=refine_passes)

@@ -38,6 +38,17 @@ def euclid(a, b):
     return math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)))
 
 
+def lattice_nearest_point(lo, hi, q):
+    """Closest point of the integer box {lo..hi}^d: per coordinate, the
+    nearer of the two neighbouring integers, the lower one on a tie."""
+    out = []
+    for x in q:
+        down = math.floor(float(x))
+        c = down if float(x) - down <= 0.5 else down + 1
+        out.append(min(max(c, lo), hi))
+    return out
+
+
 def assignment_cost(dist, queries, labels, choice, edges, kappa, lam):
     """Plain-loop objective: nn part + pairwise part.
 

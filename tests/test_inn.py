@@ -5,8 +5,9 @@ import pytest
 
 from snnkit.core import brute_force_opt, cost, make_instance
 from snnkit.generators import random_instance
+from snnkit.graphs import grid_graph
 from snnkit.inn import Stage2Solver, inn_solve, pruned_label_set
-from snnkit.metric import EuclideanSpace, LatticeBox
+from snnkit.metric import EuclideanSpace, LatticeBox, MatrixSpace
 
 
 def test_pruned_label_set_distinct_nearest():
@@ -38,11 +39,9 @@ def test_inn_auto_uses_exact_on_small_instances():
 
 def test_inn_heuristic_labels_stay_in_pruned_set():
     rng = np.random.default_rng(9)
-    for kind in ("tree", "rplus"):
+    for kind in ("icm", "rplus"):
         for _ in range(15):
             inst = random_instance(rng)
-            if kind == "tree" and inst.space.kind != "euclidean":
-                continue
             a = inn_solve(inst, Stage2Solver(kind=kind))
             pl = pruned_label_set(inst)
             assert set(int(i) for i in a.idx) <= set(int(i) for i in pl.label_idx)
@@ -67,6 +66,20 @@ def test_inn_lattice_instance():
     assert box.contains(a.points)
 
 
+def test_inn_auto_beyond_exact_range_on_a_matrix_metric():
+    # 12 queries is past auto's exact range, yet 3^12 labelings fit the guard
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(0, 10, (15, 2))
+    space = MatrixSpace(np.linalg.norm(pts[:, None] - pts[None], axis=2))
+    inst = make_instance(space, np.arange(3), np.arange(3, 15), edges=grid_graph(3, 4))
+    a = inn_solve(inst)
+    assert set(a.idx.tolist()) <= set(pruned_label_set(inst).label_idx.tolist())
+    assert cost(inst, a.idx).total == pytest.approx(a.total, abs=1e-9)
+    assert a.total >= brute_force_opt(inst).total - 1e-9
+
+
 def test_stage2_solver_validation():
     with pytest.raises(ValueError):
         Stage2Solver(kind="simulated-annealing")
+    with pytest.raises(ValueError):
+        Stage2Solver(kind="tree")

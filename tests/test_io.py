@@ -6,8 +6,9 @@ import pytest
 from snnkit.core import brute_force_opt, make_instance
 from snnkit.generators import random_instance
 from snnkit.io import (assignment_to_dict, instance_from_dict,
-                       instance_to_dict, load_instance, load_zeroext,
-                       save_instance, save_zeroext)
+                       instance_to_dict, load_instance, load_json,
+                       save_instance, save_json, zeroext_from_dict,
+                       zeroext_to_dict)
 from snnkit.metric import EuclideanSpace, LatticeBox
 from snnkit.zeroext import snn_to_zero_extension, zero_ext_cost
 
@@ -52,8 +53,8 @@ def test_zeroext_round_trip(tmp_path):
                          np.array([[1.0], [9.0]]), edges=[(0, 1)])
     z = snn_to_zero_extension(inst)
     p = tmp_path / "z.json"
-    save_zeroext(p, z)
-    back = load_zeroext(p)
+    save_json(p, zeroext_to_dict(z))
+    back = zeroext_from_dict(load_json(p))
     f = [0, 1, 0, 0]
     assert zero_ext_cost(back, f) == pytest.approx(zero_ext_cost(z, f))
     assert back.n_free == z.n_free

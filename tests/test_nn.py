@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracles import lattice_nearest_point
 from snnkit.metric import EuclideanSpace, LatticeBox, MatrixSpace
 from snnkit.nn import NnIndex, lattice_nn_map
 
@@ -16,64 +17,32 @@ def test_linear_scan_matches_brute():
     rng = np.random.default_rng(0)
     sp = EuclideanSpace(2)
     pts = rng.uniform(0, 10, (40, 2))
-    idx = NnIndex(sp, pts)
-    assert idx.accel is None
-    for q in rng.uniform(0, 10, (30, 2)):
-        assert idx.nearest(q) == brute_nearest(sp, pts, q)
-
-
-def test_accelerated_index_matches_linear_scan():
-    rng = np.random.default_rng(1)
-    sp = EuclideanSpace(3)
-    pts = rng.uniform(0, 1, (400, 3))
-    fast = NnIndex(sp, pts)
-    assert fast.accel is not None
-    slow = NnIndex(sp, pts[:255])  # below the threshold, no tree
-    assert slow.accel is None
-    Q = rng.uniform(0, 1, (50, 3))
-    for q in Q:
-        assert fast.nearest(q) == brute_nearest(sp, pts, q)
-    assert fast.nn_map(Q).tolist() == [brute_nearest(sp, pts, q) for q in Q]
+    Q = rng.uniform(0, 10, (30, 2))
+    assert NnIndex(sp, pts).nn_map(Q).tolist() == [brute_nearest(sp, pts, q) for q in Q]
 
 
 def test_nearest_tie_takes_smallest_id():
     sp = EuclideanSpace(1)
     pts = np.array([[0.0], [2.0], [0.0]])
     idx = NnIndex(sp, pts)
-    assert idx.nearest(np.array([1.0])) == 0  # 0 and 1 tie at distance 1
-    assert idx.nearest(np.array([0.0])) == 0  # 0 and 2 tie at distance 0
+    # 0 and 1 tie at distance 1; 0 and 2 tie at distance 0
+    assert idx.nn_map(np.array([[1.0], [0.0]])).tolist() == [0, 0]
 
 
 def test_tie_break_survives_acceleration():
-    # duplicate points force exact ties in a tree-backed index
+    # duplicate points force exact ties in a large index
     base = np.random.default_rng(5).uniform(0, 1, (300, 2))
     pts = np.vstack([base, base[:10]])
     idx = NnIndex(EuclideanSpace(2), pts)
-    assert idx.accel is not None
-    for i in range(10):
-        assert idx.nearest(base[i]) == i
+    assert idx.nn_map(base[:10]).tolist() == list(range(10))
 
 
 def test_matrix_space_queries_are_ids():
     m = np.array([[0.0, 2.0, 5.0], [2.0, 0.0, 4.0], [5.0, 4.0, 0.0]])
     sp = MatrixSpace(m)
     idx = NnIndex(sp, np.array([0, 2]))
-    assert idx.nearest(1) == 0   # d(1,0)=2 beats d(1,2)=4
+    # d(1,0)=2 beats d(1,2)=4
     assert idx.nn_map(np.array([0, 1, 2])).tolist() == [0, 0, 1]
-
-
-def test_aggregate_nearest_matches_loop():
-    rng = np.random.default_rng(2)
-    sp = EuclideanSpace(2)
-    pts = rng.uniform(0, 5, (25, 2))
-    idx = NnIndex(sp, pts)
-    q = rng.uniform(0, 5, 2)
-    anchors = rng.uniform(0, 5, (3, 2))
-    w = rng.uniform(0.1, 2.0, 3)
-    got = idx.aggregate_nearest(q, anchors, w)
-    scores = [sp.dist(q, p) + sum(wi * sp.dist(a, p) for a, wi in zip(anchors, w))
-              for p in pts]
-    assert got == min(range(len(pts)), key=lambda i: (scores[i], i))
 
 
 def test_lattice_nn_map_matches_nearest_point():
@@ -81,5 +50,5 @@ def test_lattice_nn_map_matches_nearest_point():
     rng = np.random.default_rng(3)
     Q = rng.uniform(-10, 266, (100, 3))
     got = lattice_nn_map(box, Q)
-    want = np.array([box.nearest_point(q) for q in Q])
-    assert (got == want).all()
+    want = [lattice_nearest_point(box.lo, box.hi, q) for q in Q]
+    assert got.tolist() == want

@@ -1,43 +1,31 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from snnkit.metric import LatticeBox
-from snnkit.treemetric import TreeMetric, build_tree_metric
+from snnkit.treemetric import build_tree_metric
 
 
-def walk_nodes(node):
-    stack = [node]
+def walk_cells(tm):
+    stack = [tm.root]
     while stack:
-        n = stack.pop()
-        yield n
-        if not n.is_leaf:
-            stack.append(n.left)
-            stack.append(n.right)
-
-
-def test_point_tree_split_values_sit_in_their_band():
-    rng = np.random.default_rng(4)
-    pts = rng.uniform(0, 100, (60, 3))
-    tm = TreeMetric.for_points(pts, seed=11)
-    seen_splits = 0
-    for n in walk_nodes(tm.root):
-        if n.is_leaf:
-            continue
-        a = n.member_lo[n.axis]
-        b = n.member_hi[n.axis]
-        lo, hi = 0.6 * a + 0.4 * b, 0.4 * a + 0.6 * b
-        assert lo - 1e-9 <= n.split_value <= hi + 1e-9
-        seen_splits += 1
-    assert seen_splits >= 10
+        c = stack.pop()
+        yield c
+        if not tm.node_is_leaf(c):
+            left, right, _, _ = tm.node_children(c)
+            stack.append(left)
+            stack.append(right)
 
 
 def test_lattice_root_split_in_band():
     for seed in range(12):
         tm = build_tree_metric(LatticeBox(0, 255, 3), seed)
-        s = tm.root_split_value()
-        assert 0.6 * 0 + 0.4 * 255 <= s <= 0.4 * 0 + 0.6 * 255
+        _, _, _, cut = tm.node_children(tm.root)
+        # cut is the floor of a split value drawn from [40%, 60%] of 0..255
+        assert math.floor(0.4 * 255) <= cut <= 0.6 * 255
 
 
 def test_same_seed_same_tree():
@@ -114,32 +102,17 @@ def test_lattice_tree_dominates_euclidean():
         assert tm.tree_dist(A[i], B[i]) + 1e-9 >= eu[i]
 
 
-def test_point_tree_dominates_euclidean():
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(0, 50, (40, 2)).round(3)
-    tm = TreeMetric.for_points(pts, seed=42)
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            d = tm.tree_dist(pts[i], pts[j])
-            assert d + 1e-9 >= np.linalg.norm(pts[i] - pts[j])
-            if i == j:
-                assert d == 0.0
-
-
-def test_point_tree_rejects_foreign_points():
-    pts = np.array([[0.0, 0.0], [4.0, 4.0]])
-    tm = TreeMetric.for_points(pts, seed=1)
-    with pytest.raises(ValueError):
-        tm.tree_dist(np.array([1.0, 1.0]), np.array([4.0, 4.0]))
-
-
 def test_axis_cycle_skips_zero_extent():
-    # all points share y, so every split must be on x
-    pts = np.array([[float(i), 5.0] for i in range(12)])
-    tm = TreeMetric.for_points(pts, seed=0)
-    for n in walk_nodes(tm.root):
-        if not n.is_leaf:
-            assert n.axis == 0
+    # cells of a 9x9 box narrow to one value on an axis before they are
+    # leaves; every split must then fall on an axis that still has extent
+    tm = build_tree_metric(LatticeBox(0, 8, 2), 0)
+    skipped = 0
+    for c in walk_cells(tm):
+        if not tm.node_is_leaf(c):
+            _, _, axis, _ = tm.node_children(c)
+            assert c.ihi[axis] > c.ilo[axis]
+            skipped += axis != c.depth % 2
+    assert skipped > 0
 
 
 def test_lattice_rejects_out_of_box():
@@ -148,9 +121,3 @@ def test_lattice_rejects_out_of_box():
         tm.tree_dist(np.array([0, 0, 256]), np.array([0, 0, 0]))
     with pytest.raises(ValueError):
         tm.tree_dist(np.array([0.5, 0, 1]), np.array([0, 0, 0]))
-
-
-def test_build_tree_metric_dispatch():
-    assert build_tree_metric(LatticeBox(0, 255, 3), 1).kind == "lattice"
-    pts = np.random.default_rng(0).uniform(0, 1, (8, 2))
-    assert build_tree_metric(pts, 1).kind == "points"

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from snnkit.core import brute_force_opt, cost, make_instance
+from snnkit.core import brute_force_opt, cost, cost_points, make_instance, nn_label_map
 from snnkit.generators import random_instance
 from snnkit.graphs import CompatGraph, grid_graph
+from snnkit.inn import Stage2Solver, inn_solve, pruned_label_set
 from snnkit.metric import EuclideanSpace, LatticeBox
-from snnkit.treemetric import TreeMetric
+from snnkit.treemetric import build_tree_metric
 from snnkit.treesolve import euclidean_refine, tree_labeling_solve
+
+
+def icm(inst):
+    return inn_solve(inst, Stage2Solver(kind="icm"))
 
 
 def euclidean_only(rng, **kw):
@@ -22,7 +29,7 @@ def test_solution_is_valid_and_consistent():
     rng = np.random.default_rng(21)
     for _ in range(40):
         inst = euclidean_only(rng)
-        a = tree_labeling_solve(inst)
+        a = icm(inst)
         assert len(a.idx) == inst.k
         assert np.all(a.idx >= 0) and np.all(a.idx < inst.n_labels)
         assert cost(inst, a.idx).total == pytest.approx(a.total, abs=1e-9)
@@ -33,7 +40,7 @@ def test_solution_never_beats_optimum():
     for _ in range(40):
         inst = euclidean_only(rng)
         opt = brute_force_opt(inst)
-        a = tree_labeling_solve(inst)
+        a = icm(inst)
         assert a.total >= opt.total - 1e-9
 
 
@@ -45,7 +52,7 @@ def test_well_separated_clusters_are_solved_exactly():
     queries = np.array([[0.5, 0.2], [0.1, 0.4],
                         [100.2, 0.3], [99.8, 0.1]])
     inst = make_instance(sp, labels, queries, edges=[(0, 1), (2, 3)])
-    a = tree_labeling_solve(inst)
+    a = icm(inst)
     opt = brute_force_opt(inst)
     assert a.idx.tolist() == [0, 0, 1, 1]
     assert a.total == pytest.approx(opt.total, abs=1e-9)
@@ -60,15 +67,14 @@ def test_smoothing_pull_wins_on_tight_chain():
     queries = np.array([[4.0], [5.0], [6.0]])
     inst = make_instance(sp, labels, queries,
                          edges=[(0, 1), (1, 2)])
-    a = tree_labeling_solve(inst)
+    a = icm(inst)
     assert len(set(a.idx.tolist())) == 1
     assert a.total == pytest.approx(brute_force_opt(inst).total)
 
 
 def test_same_seed_is_deterministic():
     inst = euclidean_only(np.random.default_rng(30))
-    a = tree_labeling_solve(inst, rng_seed=5)
-    b = tree_labeling_solve(inst, rng_seed=5)
+    a, b = icm(inst), icm(inst)
     assert a.idx.tolist() == b.idx.tolist()
     assert a.total == b.total
 
@@ -120,7 +126,7 @@ def test_bipartite_grid_instance_runs():
     queries = rng.uniform(0, 10, (9, 2))
     labels = rng.uniform(0, 10, (5, 2))
     inst = make_instance(sp, labels, queries, edges=grid_graph(3, 3))
-    a = tree_labeling_solve(inst)
+    a = icm(inst)
     assert a.total >= brute_force_opt(inst).total - 1e-9
 
 
@@ -131,7 +137,7 @@ def test_odd_cycle_instance_runs():
     labels = rng.uniform(0, 10, (4, 2))
     edges = [(i, (i + 1) % 5) for i in range(5)]
     inst = make_instance(sp, labels, queries, edges=edges)
-    a = tree_labeling_solve(inst)
+    a = icm(inst)
     assert cost(inst, a.idx).total == pytest.approx(a.total, abs=1e-9)
 
 
@@ -150,10 +156,10 @@ def test_lattice_solve_returns_points_in_box():
 
 def test_foreign_tree_metric_rejected():
     rng = np.random.default_rng(12)
-    inst = euclidean_only(rng)
-    other = TreeMetric.for_points(rng.uniform(50, 60, (4, inst.space.dim)), seed=3)
+    inst = make_instance(EuclideanSpace(3), LatticeBox(0, 255, 3),
+                         rng.uniform(0, 255, (4, 3)), edges=[(0, 1), (2, 3)])
     with pytest.raises(ValueError):
-        tree_labeling_solve(inst, tm=other)
+        tree_labeling_solve(inst, tm=build_tree_metric(LatticeBox(0, 15, 3), 3))
 
 
 def test_matrix_space_rejected():
@@ -164,3 +170,53 @@ def test_matrix_space_rejected():
             break
     with pytest.raises(ValueError):
         tree_labeling_solve(inst)
+
+
+def test_tree_backends_reject_explicit_labels():
+    inst = euclidean_only(np.random.default_rng(14))
+    with pytest.raises(ValueError):
+        build_tree_metric(inst.labels, 1)
+    with pytest.raises(ValueError):
+        tree_labeling_solve(inst)
+
+
+def nearest_label_start(inst):
+    """Stage-1 nearest-label map as ids into the pruned set, and that set."""
+    pl = pruned_label_set(inst)
+    if inst.has_explicit_labels:
+        ids = pl.label_idx.tolist()
+        return np.array([ids.index(i) for i in pl.nn_idx.tolist()]), pl
+    rows = [tuple(p) for p in pl.label_points.tolist()]
+    return np.array([rows.index(tuple(p)) for p in pl.nn_points.tolist()]), pl
+
+
+def lattice_instance(rng):
+    box = LatticeBox(0, 7, 2)
+    return make_instance(EuclideanSpace(2), box, rng.uniform(-1, 8, (12, 2)),
+                         edges=grid_graph(4, 3), kappa=rng.uniform(0.2, 2.0, 12))
+
+
+def test_icm_is_refine_from_the_pruned_nearest_label_map():
+    rng = np.random.default_rng(15)
+    for t in range(50):
+        inst = lattice_instance(rng) if t % 5 == 0 else random_instance(rng, max_queries=10)
+        start, pl = nearest_label_start(inst)
+        assert (pl.label_points[start] == pl.nn_points).all()
+        want = euclidean_refine(replace(inst, labels=pl.label_points), start)
+        got = icm(inst)
+        assert (got.points == want.points).all()
+        assert got.total == want.total
+        if inst.has_explicit_labels:
+            assert got.idx.tolist() == pl.label_idx[want.idx].tolist()
+
+
+def test_icm_never_costs_more_than_the_nearest_label_map():
+    rng = np.random.default_rng(16)
+    for t in range(50):
+        if t % 5 == 0:
+            inst = lattice_instance(rng)
+            start = cost_points(inst, nn_label_map(inst))
+        else:
+            inst = random_instance(rng, max_queries=10)
+            start = cost(inst, nn_label_map(inst))
+        assert icm(inst).total <= start.total + 1e-9
