@@ -7,7 +7,7 @@ from .metric import EuclideanSpace, LatticeBox, MatrixSpace, build_graph_metric
 from .nn import NnIndex, lattice_nn_map
 from .sparse import rplus_solve, sparse_assign
 from .treemetric import TreeMetric, build_tree_metric
-from .treesolve import euclidean_refine, tree_labeling_solve
+from .treesolve import euclidean_refine, relax
 from .zeroext import (ZeroExtInstance, back_translate, snn_to_zero_extension,
                       zero_ext_cost, zero_ext_exact)
 
@@ -20,6 +20,6 @@ __all__ = [
     "brute_force_opt", "build_graph_metric", "build_tree_metric", "cost",
     "cost_points", "euclidean_refine", "grid_graph",
     "inn_solve", "lattice_nn_map", "make_instance", "orient_edges",
-    "pruned_label_set", "pruning_gap", "rplus_solve", "snn_to_zero_extension",
-    "sparse_assign", "tree_labeling_solve", "zero_ext_cost", "zero_ext_exact",
+    "pruned_label_set", "pruning_gap", "relax", "rplus_solve",
+    "snn_to_zero_extension", "sparse_assign", "zero_ext_cost", "zero_ext_exact",
 ]

@@ -107,21 +107,22 @@ def cmd_denoise(args) -> int:
     noise = _noise_from_args(args)
     prefix = args.out_prefix
     if args.seeds > 1:
-        seeds = range(args.seed, args.seed + args.seeds)
+        seeds = range(DEFAULT_SEED, DEFAULT_SEED + args.seeds)
         noisy, rep = pixel_gap_experiment(img, noise, seeds)
         print(rep.table(args.image))
         if prefix:
             save_ppm(f"{prefix}-noisy.ppm", noisy)
             for space in ("full", "image"):
-                run = denoise_pixels(noisy, space, rng_seed=args.seed)
-                save_ppm(f"{prefix}-{space}.ppm", run.image)
+                save_ppm(f"{prefix}-{space}.ppm", denoise_pixels(noisy, space).image)
             sio.save_json(f"{prefix}-report.json", rep.to_dict())
             print(f"wrote {prefix}-*.ppm and {prefix}-report.json")
         return 0
     noisy = add_noise(img, noise)
-    run = denoise_pixels(noisy, args.space, rng_seed=args.seed)
+    run = denoise_pixels(noisy, args.space)
     print(f"label_space={run.label_space} nn={run.nn_cost:.1f} "
           f"pw={run.pw_cost:.1f} total={run.total:.1f}")
+    if run.lower_bound is not None:
+        print(f"certified lower bound on the cube optimum: {run.lower_bound:.1f}")
     if prefix:
         save_ppm(f"{prefix}-noisy.ppm", noisy)
         save_ppm(f"{prefix}-denoised.ppm", run.image)
@@ -192,9 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("image", help="PPM path, or 'fixture' for the built-in cartoon")
     sp.add_argument("--space", choices=["image", "full"], default="image")
     sp.add_argument("--seeds", type=int, default=1,
-                    help="run a multi-seed two-space comparison when > 1")
+                    help="run the two-space comparison when > 1")
     add_noise_args(sp)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--out-prefix", default=None)
     sp.set_defaults(func=cmd_denoise)
 

@@ -61,8 +61,14 @@ class SnnInstance:
             raise ValueError("kappa must have one entry per query")
         if len(self.lam) != self.graph.num_entries:
             raise ValueError("lambda must have one entry per edge row")
+        if not (np.isfinite(self.kappa).all() and np.isfinite(self.lam).all()):
+            raise ValueError("weights must be finite")
         if np.any(self.kappa < 0) or np.any(self.lam < 0):
             raise ValueError("weights must be nonnegative")
+        if not np.isfinite(self.queries).all():
+            raise ValueError("query coordinates must be finite")
+        if self.has_explicit_labels and not np.isfinite(self.labels).all():
+            raise ValueError("label coordinates must be finite")
         dim = getattr(self.space, "dim", None)
         if dim is not None:
             if isinstance(self.labels, LatticeBox):

@@ -44,6 +44,7 @@ class PrunedLabels:
     """Outcome of stage 1."""
     nn_points: np.ndarray           # nearest label point per query
     label_points: np.ndarray        # distinct survivors, id-sorted
+    nn_pos: np.ndarray              # each query's nearest label, as a row of label_points
     nn_idx: Optional[np.ndarray]    # ids into the original labels (explicit only)
     label_idx: Optional[np.ndarray]
 
@@ -51,12 +52,12 @@ class PrunedLabels:
 def pruned_label_set(inst: SnnInstance) -> PrunedLabels:
     nn = nn_label_map(inst)
     if inst.has_explicit_labels:
-        uniq = np.unique(nn)
+        uniq, pos = np.unique(nn, return_inverse=True)
         return PrunedLabels(nn_points=inst.labels[nn], label_points=inst.labels[uniq],
-                            nn_idx=nn, label_idx=uniq)
-    pts = np.unique(nn, axis=0)
+                            nn_pos=pos, nn_idx=nn, label_idx=uniq)
+    pts, pos = np.unique(nn, axis=0, return_inverse=True)
     return PrunedLabels(nn_points=nn.astype(float), label_points=pts.astype(float),
-                        nn_idx=None, label_idx=None)
+                        nn_pos=pos.reshape(-1), nn_idx=None, label_idx=None)
 
 
 def inn_solve(inst: SnnInstance, stage2: Stage2Solver | None = None) -> Assignment:
@@ -84,12 +85,7 @@ def inn_solve(inst: SnnInstance, stage2: Stage2Solver | None = None) -> Assignme
 
     sub = replace(inst, labels=pl.label_points)
     if kind == "icm":
-        # the nearest-label map, as ids into the pruned set
-        if inst.has_explicit_labels:
-            start = np.searchsorted(pl.label_idx, pl.nn_idx)
-        else:
-            start = np.unique(pl.nn_points, axis=0, return_inverse=True)[1].reshape(-1)
-        a = euclidean_refine(sub, start, passes=stage2.refine_passes)
+        a = euclidean_refine(sub, pl.nn_pos, passes=stage2.refine_passes)
     else:  # rplus
         a = rplus_solve(sub, orient_edges(inst.graph))
     if inst.has_explicit_labels and a.idx is not None:

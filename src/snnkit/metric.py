@@ -63,6 +63,8 @@ class MatrixSpace:
             raise ValueError(f"distance matrix must be square, got shape {m.shape}")
         if m.shape[0] == 0:
             raise ValueError("empty distance matrix")
+        if not np.isfinite(m).all():
+            raise ValueError("distances must be finite")
         if np.any(m < 0):
             raise ValueError("distances must be nonnegative")
         if np.any(np.abs(np.diag(m)) > _ATOL):

@@ -15,7 +15,8 @@ The lattice {lo..hi}^dim is handled lazily: a cell's split is a pure
 function of the seed and the cell's descent path, so the (possibly 256^3
 sized) tree is never materialized.  The cell [a, b] on an axis is treated as
 covering the continuous interval [a, b+1], which keeps child widths summing
-exactly to the parent width.
+exactly to the parent width.  Cells are only ever walked inside tree_dist;
+the tree exposes distances, not nodes.
 """
 from __future__ import annotations
 
@@ -64,79 +65,17 @@ def _split(ilo, ihi, key: int, depth: int, dim: int) -> tuple[int, int]:
     return axis, cut
 
 
-class LatticeCell(tuple):
-    """Hashable handle (ilo, ihi, key, depth) of a lazy lattice-tree cell."""
-    __slots__ = ()
-
-    @property
-    def ilo(self):
-        return self[0]
-
-    @property
-    def ihi(self):
-        return self[1]
-
-    @property
-    def key(self) -> int:
-        return self[2]
-
-    @property
-    def depth(self) -> int:
-        return self[3]
-
-
-def _cell(ilo, ihi, key, depth) -> LatticeCell:
-    return LatticeCell((tuple(ilo), tuple(ihi), key, depth))
-
-
 class TreeMetric:
     """Random-split tree metric over a lattice box.
 
-    Construction is deterministic given the seed.  Use tree_dist for
-    distances between lattice points; the solver-facing node accessors
-    expose cover boxes, achievable-label boxes and leaf points.
+    Construction is deterministic given the seed; root is the root cell's
+    hash key.  Use tree_dist for distances between lattice points.
     """
 
     def __init__(self, box: LatticeBox, seed: int):
         self.box = box
         self.dim = box.dim
-        self.seed = seed
-        self.root = _cell([box.lo] * box.dim, [box.hi] * box.dim,
-                          _mix((seed & _M64) ^ 0x5EED), 0)
-
-    # ---------- solver-facing node interface ----------
-
-    @staticmethod
-    def node_is_leaf(cell: LatticeCell) -> bool:
-        return all(h == l for l, h in zip(cell.ilo, cell.ihi))
-
-    def node_children(self, cell: LatticeCell):
-        """(left, right, axis, cut) of a non-unit cell; cut is the last
-        coordinate that goes left."""
-        ilo, ihi, key, depth = cell.ilo, cell.ihi, cell.key, cell.depth
-        axis, cut = _split(ilo, ihi, key, depth, self.dim)
-        lhi, rlo = list(ihi), list(ilo)
-        lhi[axis] = cut
-        rlo[axis] = cut + 1
-        left = _cell(ilo, lhi, _mix(key ^ 1), depth + 1)
-        right = _cell(rlo, ihi, _mix(key ^ 2), depth + 1)
-        return left, right, axis, float(cut)
-
-    @staticmethod
-    def node_diam(cell: LatticeCell) -> float:
-        w = np.array(cell.ihi, dtype=float) - np.array(cell.ilo, dtype=float) + 1.0
-        return float(np.linalg.norm(w))
-
-    @staticmethod
-    def node_label_box(cell: LatticeCell) -> tuple[np.ndarray, np.ndarray]:
-        """Tight box around the labels reachable below this node."""
-        return np.array(cell.ilo, dtype=float), np.array(cell.ihi, dtype=float)
-
-    @staticmethod
-    def node_leaf_point(cell: LatticeCell) -> np.ndarray:
-        return np.array(cell.ilo, dtype=float)
-
-    # ---------- distances ----------
+        self.root = _mix((seed & _M64) ^ 0x5EED)
 
     def tree_dist(self, p, q) -> float:
         """Tree distance between two lattice points; plain-int descent."""
@@ -151,7 +90,7 @@ class TreeMetric:
                 raise ValueError("point outside the lattice box")
         ilo = [box.lo] * dim
         ihi = [box.hi] * dim
-        key = self.root.key
+        key = self.root
         depth = 0
         while True:
             if ilo == ihi:

@@ -1,108 +1,86 @@
-"""Labeling over the integer color cube by descent through a lattice tree
-metric, and true-objective refinement by iterated conditional modes.
+"""Labeling over the integer color cube through its convex relaxation, and
+true-objective refinement by iterated conditional modes.
 
-The tree solver pushes every query down a random-split tree of a LatticeBox
-one level at a time.  At each node the queries sitting there choose a child;
-the choice trades the distance from the query to the child's label box
-against a separation penalty (the two children's cover diameters) paid per
-edge whose endpoints pick different children.  Choices are relaxed by
-iterated conditional-mode sweeps, run as exact coordinate descent on the
-two classes of a bipartition when the graph is bipartite (grids are) and
-sequentially otherwise.  Once every query reaches a leaf, the labeling is
-refined.
+relax widens a lattice label box {lo..hi}^dim to the continuous box
+[lo, hi]^dim.  The objective is then convex (vectorial TV-L1) and is solved
+by a fixed number of first-order primal-dual iterations (Chambolle and
+Pock, JMIV 2011).  Its dual iterate certifies a lower bound on the box
+optimum, and so on the lattice optimum.  Rounding the relaxed labels to the
+lattice and refining them gives the cube labeling.
 
-euclidean_refine polishes a labeling in the true objective by the same
-coordinate descent: over the full label set for explicit labels, in any
-metric space, and over a small candidate set (own color, current label,
-neighbors' labels) for lattice label spaces.  Refinement never increases the
-true cost.
+euclidean_refine polishes a labeling in the true objective by coordinate
+descent, run on the two classes of a bipartition when the graph is
+bipartite (grids are) and one query at a time otherwise: over the full
+label set for explicit labels, in any metric space, and over a small
+candidate set (own color, current label, neighbors' labels) for lattice
+label spaces.  Refinement never increases the true cost.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .core import (Assignment, SnnInstance, _classes, _collapsed, _directed, _icm,
                    _shared_scorer, cost, cost_points)
 from .metric import LatticeBox
 from .nn import lattice_nn_map
-from .treemetric import TreeMetric, build_tree_metric
 
-# label distance of the two child choices: separation is paid when they differ
-_SIDE_DIST = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def _dist_to_box(Q: np.ndarray, lo, hi) -> np.ndarray:
-    c = np.clip(Q, lo, hi)
-    return np.linalg.norm(c - Q, axis=1)
+_RELAX_ITERS = 400
+# relative rounding allowance taken off the float64 lower bound
+_LB_ROUNDING = 1e-9
 
 
-def _descend(inst: SnnInstance, tm: TreeMetric, passes: int):
-    """Route all queries to leaves; returns the chosen label points."""
+def relax(inst: SnnInstance) -> tuple[np.ndarray, float]:
+    """Relaxed labels over the continuous label box, and a certified lower
+    bound on the optimum over the lattice.
+
+    Runs _RELAX_ITERS Chambolle-Pock iterations on
+    min_x sum_i kappa_i |x_i - q_i| + sum_e w_e |x_i - x_j| with x in the
+    box, one dual vector z_e, |z_e| <= w_e, per collapsed edge and
+    tau = sigma = 0.99 / sqrt(2 * max degree).  The primal step shrinks
+    toward q_i, then clips to the box.  With v = D^T z and R_i the distance
+    from q_i to the farthest box corner, every x in the box costs at least
+    LB = sum_i <v_i, q_i> - sum_i max(|v_i| - kappa_i, 0) * R_i, which is
+    returned less _LB_ROUNDING times the magnitude of its terms.  Returns
+    the last primal iterate, shape (k, dim), and that bound.
+    """
+    box = inst.labels
+    if not isinstance(box, LatticeBox) or inst.space.kind != "euclidean":
+        raise ValueError("relax needs a Euclidean instance over a lattice label box")
     Q = np.asarray(inst.queries, dtype=float)
-    k = len(Q)
-    de_src, de_dst, de_w = _directed(*_collapsed(inst))
-    coloring = inst.graph.two_coloring()
-
-    handles: list = [tm.root] * k
-    done = np.zeros(k, dtype=bool)
-    out_pts = np.zeros((k, tm.dim))
-
-    while not done.all():
-        groups: dict = {}
-        for q in np.where(~done)[0]:
-            groups.setdefault(handles[q], []).append(int(q))
-
-        gid = np.full(k, -1, dtype=np.int64)
-        uA = np.zeros(k)
-        uB = np.zeros(k)
-        pen = np.zeros(k)
-        children: list = []
-        for h, members in groups.items():
-            qidx = np.array(members, dtype=np.int64)
-            if tm.node_is_leaf(h):
-                out_pts[qidx] = tm.node_leaf_point(h)
-                done[qidx] = True
-                continue
-            left, right, _, _ = tm.node_children(h)
-            g = len(children)
-            children.append((left, right))
-            gid[qidx] = g
-            la, lb = tm.node_label_box(left)
-            ra, rb = tm.node_label_box(right)
-            uA[qidx] = inst.kappa[qidx] * _dist_to_box(Q[qidx], la, lb)
-            uB[qidx] = inst.kappa[qidx] * _dist_to_box(Q[qidx], ra, rb)
-            pen[qidx] = tm.node_diam(left) + tm.node_diam(right)
-
-        act = gid >= 0
-        if not act.any():
-            continue
-        side = (uB < uA).astype(np.int8)  # ties go left
-        if len(de_src):
-            live = act[de_src] & (gid[de_src] == np.where(act[de_dst], gid[de_dst], -2))
-            es, ed = de_src[live], de_dst[live]
-            epen = de_w[live] * pen[es]
-        else:
-            es = ed = np.zeros(0, dtype=np.int64)
-            epen = np.zeros(0)
-        if len(es):
-            uAB = np.stack([uA, uB], axis=1)
-            choose = _shared_scorer(lambda rows: uAB[rows], lambda u: _SIDE_DIST[:, u])
-            _icm(side, _classes(coloring, np.flatnonzero(act)), es, ed, epen, choose, passes)
-        for q in np.where(act)[0]:
-            left, right = children[gid[q]]
-            handles[q] = left if side[q] == 0 else right
-    return out_pts
-
-
-def _refine_explicit(inst: SnnInstance, cur: np.ndarray, passes: int) -> np.ndarray:
-    """Coordinate descent over the full explicit label set, true objective."""
-    Q = inst.queries
-    pool = inst.labels
-    kap = inst.kappa
-    score = _shared_scorer(lambda rows: kap[rows, None] * inst.space.cross(Q[rows], pool),
-                           lambda u: inst.space.cross(pool, pool[u]))
-    classes = _classes(inst.graph.two_coloring(), np.arange(len(Q)))
-    return _icm(cur, classes, *_directed(*_collapsed(inst)), score, passes)
+    kap = inst.kappa[:, None]
+    ei, ej, w = _collapsed(inst)
+    keep = w > 0    # a weightless edge has only z_e = 0, and would divide by 0 below
+    ei, ej, w = ei[keep], ej[keep], w[keep]
+    m = len(w)
+    D = sparse.csr_matrix((np.repeat([1.0, -1.0], m),
+                           (np.tile(np.arange(m), 2), np.concatenate([ei, ej]))),
+                          shape=(m, inst.k))
+    Dt = D.T.tocsr()
+    deg = np.bincount(np.concatenate([ei, ej]), minlength=inst.k)
+    tau = sigma = 0.99 / np.sqrt(2 * max(1, int(deg.max(initial=0))))
+    x = np.clip(Q, box.lo, box.hi)
+    xbar = x
+    z = np.zeros((m, box.dim))
+    tiny = np.finfo(float).tiny
+    for _ in range(_RELAX_ITERS):
+        # dual ascent, then each z_e back onto the ball of radius w_e
+        z += sigma * (D @ xbar)
+        z *= (w / np.maximum(np.linalg.norm(z, axis=1), w))[:, None]
+        # primal descent, shrunk toward q_i by tau * kappa_i, then clipped
+        y = x - tau * (Dt @ z) - Q
+        r = np.linalg.norm(y, axis=1)[:, None]
+        y *= np.maximum(r - tau * kap, 0.0) / np.maximum(r, tiny)
+        x_new = np.clip(Q + y, box.lo, box.hi)
+        xbar = 2.0 * x_new - x
+        x = x_new
+    v = Dt @ z
+    far = np.linalg.norm(np.maximum(Q - box.lo, box.hi - Q), axis=1)
+    gain = np.einsum("ij,ij->i", v, Q)
+    loss = np.maximum(np.linalg.norm(v, axis=1) - inst.kappa, 0.0) * far
+    diam = (box.hi - box.lo) * np.sqrt(box.dim)
+    slack = _LB_ROUNDING * (np.abs(gain).sum() + loss.sum() + w.sum() * diam)
+    return x, float(gain.sum() - loss.sum() - slack)
 
 
 def _lattice_scorer(inst: SnnInstance):
@@ -127,12 +105,6 @@ def _lattice_scorer(inst: SnnInstance):
     return score
 
 
-def _refine_lattice(inst: SnnInstance, cur_pts: np.ndarray, passes: int) -> np.ndarray:
-    """Candidate-set coordinate descent for lattice label spaces."""
-    classes = _classes(inst.graph.two_coloring(), np.arange(inst.k))
-    return _icm(cur_pts, classes, *_directed(*_collapsed(inst)), _lattice_scorer(inst), passes)
-
-
 def euclidean_refine(inst: SnnInstance, labels, passes: int = 10) -> Assignment:
     """Improve a labeling by true-objective coordinate descent.
 
@@ -140,31 +112,18 @@ def euclidean_refine(inst: SnnInstance, labels, passes: int = 10) -> Assignment:
     label points for lattice boxes, which need a Euclidean space.  The
     returned assignment never costs more than the input.
     """
-    if isinstance(inst.labels, LatticeBox):
-        if inst.space.kind != "euclidean":
-            raise ValueError("lattice refinement is defined for Euclidean instances")
+    lattice = isinstance(inst.labels, LatticeBox)
+    if lattice and inst.space.kind != "euclidean":
+        raise ValueError("lattice refinement is defined for Euclidean instances")
+    classes = _classes(inst.graph.two_coloring(), np.arange(inst.k))
+    edges = _directed(*_collapsed(inst))
+    if lattice:
         pts = np.asarray(labels, dtype=float).copy()
-        pts = _refine_lattice(inst, pts, passes)
+        _icm(pts, classes, *edges, _lattice_scorer(inst), passes)
         return cost_points(inst, pts.astype(np.int64))
+    # every row prices the full explicit label set
+    Q, pool, kap = inst.queries, inst.labels, inst.kappa
+    score = _shared_scorer(lambda rows: kap[rows, None] * inst.space.cross(Q[rows], pool),
+                           lambda u: inst.space.cross(pool, pool[u]))
     cur = np.asarray(labels, dtype=np.int64).copy()
-    cur = _refine_explicit(inst, cur, passes)
-    return cost(inst, cur)
-
-
-def tree_labeling_solve(inst: SnnInstance, tm: TreeMetric | None = None,
-                        rng_seed: int = 42, descent_passes: int = 20,
-                        refine_passes: int = 10) -> Assignment:
-    """Heuristic labeling over a lattice label box: tree descent, then
-    true-metric refinement.
-
-    Deterministic given the instance and tree; when tm is omitted one is
-    built from the label box with rng_seed.
-    """
-    if not isinstance(inst.labels, LatticeBox) or inst.space.kind != "euclidean":
-        raise ValueError("tree labeling needs a Euclidean instance over a lattice label box")
-    if tm is None:
-        tm = build_tree_metric(inst.labels, rng_seed)
-    elif tm.box != inst.labels:
-        raise ValueError("tree metric was built over a different label box")
-    pts = _descend(inst, tm, descent_passes)
-    return euclidean_refine(inst, pts.astype(np.int64), passes=refine_passes)
+    return cost(inst, _icm(cur, classes, *edges, score, passes))

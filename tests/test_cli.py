@@ -114,6 +114,19 @@ def test_wrong_schema_exits_2(tmp_path):
     assert main(["solve", str(p)]) == 2
 
 
+def test_non_finite_query_exits_2(inst_path, tmp_path):
+    doc = load_json(inst_path)
+    doc["queries"][0][0] = float("nan")
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps(doc))
+    assert main(["oracle", str(p)]) == 2
+
+
+def test_denoise_full_prints_the_lower_bound(capsys):
+    assert main(["denoise", "fixture", "--space", "full", "--noise", "none"]) == 0
+    assert "certified lower bound on the cube optimum" in capsys.readouterr().out
+
+
 def test_guard_exit_3(tmp_path):
     # enumerating a full 256^3 lattice per query overflows the guard
     inst = make_instance(EuclideanSpace(3), LatticeBox(0, 255, 3),

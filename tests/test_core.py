@@ -167,3 +167,15 @@ def test_instance_validation():
                       edges=[(0, 1)], lam=[1.0, 2.0])
     with pytest.raises(ValueError):
         make_instance(sp, np.zeros((3, 2)), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("field", ["queries", "kappa", "lam", "labels"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_rejected(field, bad):
+    args = {"labels": np.array([[0.0], [10.0]]), "queries": np.array([[1.0], [9.0]]),
+            "kappa": np.ones(2), "lam": np.ones(1)}
+    args[field] = args[field].copy()
+    args[field].flat[-1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        make_instance(EuclideanSpace(1), args["labels"], args["queries"], edges=[(0, 1)],
+                      kappa=args["kappa"], lam=args["lam"])

@@ -78,7 +78,7 @@ def test_pixel_instance_structure():
 def test_denoise_pixels_consistent_costs():
     img = add_noise(cartoon_fixture(12, 12), NoiseConfig(density=0.08, seed=3))
     for space in ("image", "full"):
-        run = denoise_pixels(img, space, rng_seed=7)
+        run = denoise_pixels(img, space)
         assert run.image.shape == img.shape
         assert run.image.dtype == np.uint8
         inst = pixel_instance(img, "full")
@@ -90,10 +90,20 @@ def test_denoise_pixels_consistent_costs():
 def test_denoise_pixels_beats_identity_labeling():
     clean = cartoon_fixture(16, 16)
     noisy = add_noise(clean, NoiseConfig(density=0.1, seed=4))
-    run = denoise_pixels(noisy, "image", rng_seed=42)
+    run = denoise_pixels(noisy, "image")
     inst = pixel_instance(noisy, "full")
     identity = cost_points(inst, noisy.reshape(-1, 3).astype(float))
     assert run.total <= identity.total + 1e-6
+
+
+def test_cube_lower_bound_is_below_both_costs():
+    noisy = add_noise(cartoon_fixture(16, 16), NoiseConfig(density=0.1, seed=6))
+    full = denoise_pixels(noisy, "full")
+    image = denoise_pixels(noisy, "image")
+    assert image.lower_bound is None
+    # the bound is on the cube optimum, which the palette cannot beat
+    assert 0 < full.lower_bound <= full.total
+    assert full.lower_bound <= image.total
 
 
 def test_pixel_gap_experiment_report():
@@ -103,9 +113,22 @@ def test_pixel_gap_experiment_report():
     assert rep.seeds == [42, 43]
     assert len(rep.costs_full) == len(rep.costs_image) == 2
     assert rep.empirical_gap > 0
+    assert 0 < rep.lower_bound <= min(rep.costs_full)
     d = rep.to_dict()
     assert d["schema"] == "denoise-report/1"
-    assert "image" in rep.table()
+    assert d["lower_bound"] == rep.lower_bound
+    table = rep.table()
+    assert "image" in table and "gap (est.)" in table
+    assert f"certified: image ÷ LB ≤ {rep.mean_image / rep.lower_bound:.4f}" in table
+
+
+def test_report_certifies_nothing_without_a_positive_bound():
+    # a flat image without noise costs nothing, so no factor can be certified
+    _, rep = pixel_gap_experiment(np.full((4, 4, 3), 9, dtype=np.uint8),
+                                  NoiseConfig(kind="none"), seeds=[42])
+    assert rep.costs_full == rep.costs_image == [0.0]
+    assert rep.lower_bound <= 0
+    assert "certified: none" in rep.table()
 
 
 def test_patch_stack_matches_naive():

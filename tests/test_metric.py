@@ -36,6 +36,12 @@ def test_matrix_space_rejects_asymmetry_and_nonzero_diagonal():
         MatrixSpace(np.array([[0.2, 1.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_matrix_space_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        MatrixSpace(np.array([[0.0, bad], [bad, 0.0]]))
+
+
 def test_matrix_space_canonicalizes_tiny_noise():
     eps = 1e-12
     m = np.array([[0.0, 1.0 + eps], [1.0 - eps, eps]])

@@ -5,25 +5,31 @@ import math
 import numpy as np
 import pytest
 
+from oracles import generic_descent_dist
 from snnkit.metric import LatticeBox
-from snnkit.treemetric import build_tree_metric
+from snnkit.treemetric import _mix, _split, build_tree_metric
 
 
 def walk_cells(tm):
-    stack = [tm.root]
+    """Every cell (ilo, ihi, key, depth) of a lattice tree, with its split."""
+    stack = [([tm.box.lo] * tm.dim, [tm.box.hi] * tm.dim, tm.root, 0)]
     while stack:
-        c = stack.pop()
-        yield c
-        if not tm.node_is_leaf(c):
-            left, right, _, _ = tm.node_children(c)
-            stack.append(left)
-            stack.append(right)
+        ilo, ihi, key, depth = stack.pop()
+        if ilo == ihi:
+            yield ilo, ihi, key, depth, None
+            continue
+        axis, cut = _split(ilo, ihi, key, depth, tm.dim)
+        yield ilo, ihi, key, depth, axis
+        lhi, rlo = list(ihi), list(ilo)
+        lhi[axis], rlo[axis] = cut, cut + 1
+        stack.append((ilo, lhi, _mix(key ^ 1), depth + 1))
+        stack.append((rlo, ihi, _mix(key ^ 2), depth + 1))
 
 
 def test_lattice_root_split_in_band():
     for seed in range(12):
         tm = build_tree_metric(LatticeBox(0, 255, 3), seed)
-        _, _, _, cut = tm.node_children(tm.root)
+        _, cut = _split([0] * 3, [255] * 3, tm.root, 0, 3)
         # cut is the floor of a split value drawn from [40%, 60%] of 0..255
         assert math.floor(0.4 * 255) <= cut <= 0.6 * 255
 
@@ -60,36 +66,13 @@ def test_tree_dist_triangle_inequality_sampled():
                 assert D[a, c] <= D[a, b] + D[b, c] + 1e-9
 
 
-def generic_descent_dist(tm, p, q):
-    """Reference walk over the node interface; shares nothing with the
-    lattice fast path."""
-    a = np.asarray(p, float)
-    b = np.asarray(q, float)
-    node = tm.root
-    while not tm.node_is_leaf(node):
-        left, right, axis, cut = tm.node_children(node)
-        sa, sb = a[axis] <= cut, b[axis] <= cut
-        if sa != sb:
-            def arm(n, x):
-                acc = 0.0
-                while True:
-                    acc += tm.node_diam(n)
-                    if tm.node_is_leaf(n):
-                        return acc
-                    l, r, ax, ct = tm.node_children(n)
-                    n = l if x[ax] <= ct else r
-            return arm(left if sa else right, a) + arm(right if sa else left, b)
-        node = left if sa else right
-    return 0.0
-
-
 def test_lattice_fast_path_matches_generic_descent():
     tm = build_tree_metric(LatticeBox(0, 255, 3), 42)
     rng = np.random.default_rng(6)
     for _ in range(250):
         p, q = rng.integers(0, 256, 3), rng.integers(0, 256, 3)
         assert tm.tree_dist(p, q) == pytest.approx(
-            generic_descent_dist(tm, p, q), abs=1e-9)
+            generic_descent_dist(0, 255, 3, 42, p, q), abs=1e-9)
 
 
 def test_lattice_tree_dominates_euclidean():
@@ -107,11 +90,10 @@ def test_axis_cycle_skips_zero_extent():
     # leaves; every split must then fall on an axis that still has extent
     tm = build_tree_metric(LatticeBox(0, 8, 2), 0)
     skipped = 0
-    for c in walk_cells(tm):
-        if not tm.node_is_leaf(c):
-            _, _, axis, _ = tm.node_children(c)
-            assert c.ihi[axis] > c.ilo[axis]
-            skipped += axis != c.depth % 2
+    for ilo, ihi, _, depth, axis in walk_cells(tm):
+        if axis is not None:
+            assert ihi[axis] > ilo[axis]
+            skipped += axis != depth % 2
     assert skipped > 0
 
 

@@ -5,13 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from snnkit import treesolve
 from snnkit.core import brute_force_opt, cost, cost_points, make_instance, nn_label_map
 from snnkit.generators import random_instance
 from snnkit.graphs import CompatGraph, grid_graph
 from snnkit.inn import Stage2Solver, inn_solve, pruned_label_set
-from snnkit.metric import EuclideanSpace, LatticeBox
+from snnkit.metric import EuclideanSpace, LatticeBox, MatrixSpace
+from snnkit.nn import lattice_nn_map
 from snnkit.treemetric import build_tree_metric
-from snnkit.treesolve import euclidean_refine, tree_labeling_solve
+from snnkit.treesolve import euclidean_refine, relax
 
 
 def icm(inst):
@@ -141,25 +143,28 @@ def test_odd_cycle_instance_runs():
     assert cost(inst, a.idx).total == pytest.approx(a.total, abs=1e-9)
 
 
+def relaxed_cube_solve(inst):
+    """The cube path of denoise_pixels: relax, round, refine."""
+    x, lb = relax(inst)
+    rounded = lattice_nn_map(inst.labels, x)
+    return euclidean_refine(inst, rounded), rounded, lb
+
+
 def test_lattice_solve_returns_points_in_box():
     sp = EuclideanSpace(3)
     box = LatticeBox(0, 255, 3)
     rng = np.random.default_rng(10)
     queries = rng.uniform(0, 255, (16, 3))
     inst = make_instance(sp, box, queries, edges=grid_graph(4, 4))
-    a = tree_labeling_solve(inst)
+    x, lb = relax(inst)
+    assert x.shape == (16, 3)
+    assert np.all(x >= 0) and np.all(x <= 255)
+    a, _, _ = relaxed_cube_solve(inst)
     assert a.idx is None
     assert a.points.shape == (16, 3)
     assert box.contains(a.points)
     assert np.all(a.points == np.floor(a.points))
-
-
-def test_foreign_tree_metric_rejected():
-    rng = np.random.default_rng(12)
-    inst = make_instance(EuclideanSpace(3), LatticeBox(0, 255, 3),
-                         rng.uniform(0, 255, (4, 3)), edges=[(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
-        tree_labeling_solve(inst, tm=build_tree_metric(LatticeBox(0, 15, 3), 3))
+    assert lb <= a.total
 
 
 def test_matrix_space_rejected():
@@ -169,7 +174,12 @@ def test_matrix_space_rejected():
         if inst.space.kind != "euclidean":
             break
     with pytest.raises(ValueError):
-        tree_labeling_solve(inst)
+        relax(inst)
+    # a finite space over a lattice label box is refused too
+    lat = make_instance(MatrixSpace(np.zeros((1, 1))), LatticeBox(0, 3, 1),
+                        np.array([0]))
+    with pytest.raises(ValueError):
+        relax(lat)
 
 
 def test_tree_backends_reject_explicit_labels():
@@ -177,7 +187,63 @@ def test_tree_backends_reject_explicit_labels():
     with pytest.raises(ValueError):
         build_tree_metric(inst.labels, 1)
     with pytest.raises(ValueError):
-        tree_labeling_solve(inst)
+        relax(inst)
+
+
+def tiny_lattice_instance(rng):
+    """A random instance over a lattice box small enough to enumerate."""
+    dim = int(rng.integers(1, 3))
+    lo = int(rng.integers(-2, 2))
+    box = LatticeBox(lo, lo + int(rng.integers(1, 4 if dim == 1 else 2)), dim)
+    k = int(rng.integers(2, 6))
+    pairs = [(i, j, int(rng.integers(1, 3))) for i in range(k) for j in range(i + 1, k)
+             if rng.random() < 0.6]
+    # queries reach past the box on every side; some edges weigh nothing
+    queries = rng.uniform(box.lo - 3, box.hi + 3, (k, dim))
+    lam = rng.uniform(0.0, 3.0, len(pairs)) * (rng.random(len(pairs)) < 0.8)
+    return make_instance(EuclideanSpace(dim), box, queries, edges=pairs,
+                         kappa=rng.uniform(0.0, 2.0, k), lam=lam)
+
+
+@pytest.mark.parametrize("iters", [5, 50, 400])
+def test_relax_lower_bound_never_exceeds_the_lattice_optimum(iters, monkeypatch):
+    # every dual iterate certifies, so the bound holds at any budget
+    monkeypatch.setattr(treesolve, "_RELAX_ITERS", iters)
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        inst = tiny_lattice_instance(rng)
+        _, lb = relax(inst)
+        assert lb <= brute_force_opt(inst).total
+
+
+def test_relax_lower_bound_closes_in_one_dimension():
+    # with integer queries in a 1-D box the relaxation has an integer
+    # optimum, so a converged bound meets the lattice optimum
+    rng = np.random.default_rng(19)
+    ratios = []
+    for _ in range(50):
+        k = int(rng.integers(2, 7))
+        box = LatticeBox(0, int(rng.integers(2, 6)), 1)
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.6]
+        queries = rng.integers(box.lo, box.hi + 1, (k, 1)).astype(float)
+        inst = make_instance(EuclideanSpace(1), box, queries, edges=pairs,
+                             kappa=rng.uniform(0.1, 2.0, k),
+                             lam=rng.uniform(0.1, 3.0, len(pairs)))
+        _, lb = relax(inst)
+        opt = brute_force_opt(inst).total
+        assert lb <= opt
+        if opt > 0:
+            ratios.append(lb / opt)
+    assert np.median(ratios) > 0.99
+
+
+def test_refine_never_costs_more_than_the_rounded_relaxation():
+    rng = np.random.default_rng(18)
+    for _ in range(30):
+        inst = tiny_lattice_instance(rng)
+        a, rounded, lb = relaxed_cube_solve(inst)
+        assert a.total <= cost_points(inst, rounded).total + 1e-9
+        assert lb <= a.total
 
 
 def nearest_label_start(inst):
