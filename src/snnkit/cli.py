@@ -112,8 +112,8 @@ def cmd_denoise(args) -> int:
         print(rep.table(args.image))
         if prefix:
             save_ppm(f"{prefix}-noisy.ppm", noisy)
-            for space in ("full", "image"):
-                save_ppm(f"{prefix}-{space}.ppm", denoise_pixels(noisy, space).image)
+            for run in rep.runs:
+                save_ppm(f"{prefix}-{run.label_space}.ppm", run.image)
             sio.save_json(f"{prefix}-report.json", rep.to_dict())
             print(f"wrote {prefix}-*.ppm and {prefix}-report.json")
         return 0

@@ -10,8 +10,10 @@ solved through its convex relaxation, whose certified lower bound on the
 cube optimum also bounds the palette cost's approximation factor.
 
 Patch denoising reconstructs the right half of an image from clean 5x5
-patches of the left half, scoring database patches against each noisy
-patch and its four axis neighbors.
+patches of the left half by the same two-step method: the noisy patches are
+queries on their patch grid, labeled with the distinct left-half patches in
+the 75-dimensional Euclidean metric, pruned to nearest labels and solved by
+ICM.
 """
 from __future__ import annotations
 
@@ -122,6 +124,7 @@ class DenoiseReport:
     costs_full: list[float]
     costs_image: list[float]
     lower_bound: float          # certified bound on the cube optimum
+    runs: tuple[PixelRun, PixelRun]   # the full and image solves, for their images
 
     @property
     def mean_full(self) -> float:
@@ -188,7 +191,7 @@ def pixel_gap_experiment(clean: np.ndarray, noise: NoiseConfig,
     full, image = denoise_pixels(noisy, "full"), denoise_pixels(noisy, "image")
     return noisy, DenoiseReport(seeds=seeds, costs_full=[full.total] * len(seeds),
                                 costs_image=[image.total] * len(seeds),
-                                lower_bound=full.lower_bound)
+                                lower_bound=full.lower_bound, runs=(full, image))
 
 
 # ---------- patch-level denoising ----------
@@ -213,24 +216,24 @@ class PatchReport:
     total: float
     n_db: int
     n_query: int
+    choice: np.ndarray          # each query's chosen row of the left-half patch stack
 
     def to_dict(self) -> dict:
-        return {"schema": "patch-report/1", "nn_cost": self.nn_cost,
+        return {"schema": "patch-report/2", "nn_cost": self.nn_cost,
                 "pw_cost": self.pw_cost, "total": self.total,
                 "n_db": self.n_db, "n_query": self.n_query}
 
 
-def denoise_patches(img: np.ndarray, noise: NoiseConfig | None = None,
-                    chunk: int = 512) -> tuple[np.ndarray, np.ndarray, PatchReport]:
+def denoise_patches(img: np.ndarray,
+                    noise: NoiseConfig | None = None) -> tuple[np.ndarray, np.ndarray, PatchReport]:
     """Reconstruct a noisy right half from clean left-half patches.
 
-    Every right-half patch n (fully inside the right half) picks the
-    database patch minimizing squared distance to itself plus one fifth of
-    the squared distances to its four axis-adjacent noisy patches.  Pixels
-    average over all covering chosen patches.  Returns (noisy, output,
-    report); the report's cost is the patch-level objective of the chosen
-    assignment: sum of squared distances to the noisy patches plus, per
-    adjacent patch pair, the squared distance between the chosen patches.
+    The noisy right-half patches are the queries of a Euclidean instance on
+    their 4-connected patch grid, labeled by the distinct left-half patches
+    through the pruning pipeline with ICM.  Pixels average over all covering
+    chosen patches.  Returns (noisy, output, report); the report's costs are
+    the instance's Euclidean objective, and its choice names the lowest
+    left-half patch row equal to each chosen label.
     """
     a = np.asarray(img)
     if a.dtype != np.uint8 or a.ndim != 3 or a.shape[2] != 3:
@@ -246,36 +249,15 @@ def denoise_patches(img: np.ndarray, noise: NoiseConfig | None = None,
 
     db, _ = _patch_stack(a[:, :half].copy())
     qs, (ph, pw) = _patch_stack(noisy[:, half:].copy())
-    n_db, n_q = len(db), len(qs)
-
-    grid = grid_graph(pw, ph)
-    deg = grid.degrees().astype(float)
-
-    # neighbor-blended targets: v_n = q_n + (1/5) sum of adjacent noisy patches
-    v = qs * 1.0
-    e = grid.edges
-    np.add.at(v, e[:, 0], qs[e[:, 1]] / PATCH)
-    np.add.at(v, e[:, 1], qs[e[:, 0]] / PATCH)
-    coef = 1.0 + deg / PATCH
-
-    sq = np.einsum("ij,ij->i", db, db)
-    choice = np.empty(n_q, dtype=np.int64)
-    for s in range(0, n_q, chunk):
-        block = slice(s, min(n_q, s + chunk))
-        g = db @ v[block].T                      # (n_db, b)
-        score = sq[:, None] * coef[block][None, :] - 2.0 * g
-        choice[block] = np.argmin(score, axis=0)
-
-    chosen = db[choice]
-    d_nn = np.einsum("ij,ij->i", chosen - qs, chosen - qs)
-    nn_cost = float(d_nn.sum())
-    diff = chosen[e[:, 0]] - chosen[e[:, 1]]
-    pw_cost = float(np.einsum("ij,ij->i", diff, diff).sum())
+    # flat regions repeat patches; labeling by distinct rows keeps stage 1 small
+    labels, first = np.unique(db, axis=0, return_index=True)
+    inst = make_instance(EuclideanSpace(db.shape[1]), labels, qs, grid_graph(pw, ph))
+    sol = inn_solve(inst, Stage2Solver(kind="icm"))
 
     # paste: average every output pixel over the chosen patches covering it
     accum = np.zeros((h, w - half, 3))
     count = np.zeros((h, w - half, 1))
-    tiles = chosen.reshape(ph, pw, PATCH, PATCH, 3)
+    tiles = sol.points.reshape(ph, pw, PATCH, PATCH, 3)
     for dy in range(PATCH):
         for dx in range(PATCH):
             accum[dy:dy + ph, dx:dx + pw] += tiles[:, :, dy, dx]
@@ -283,6 +265,6 @@ def denoise_patches(img: np.ndarray, noise: NoiseConfig | None = None,
     right = np.clip(np.floor(accum / count + 0.5), 0, 255).astype(np.uint8)
     out = a.copy()
     out[:, half:] = right
-    report = PatchReport(nn_cost=nn_cost, pw_cost=pw_cost,
-                         total=nn_cost + pw_cost, n_db=n_db, n_query=n_q)
+    report = PatchReport(nn_cost=sol.nn_cost, pw_cost=sol.pw_cost, total=sol.total,
+                         n_db=len(db), n_query=len(qs), choice=first[sol.idx])
     return noisy, out, report

@@ -31,8 +31,6 @@ class Stage2Solver:
     queries and within the enumeration guard) and ICM otherwise.
     """
     kind: str = "auto"
-    guard: int = DEFAULT_GUARD
-    refine_passes: int = 10
 
     def __post_init__(self):
         if self.kind not in ("auto", "exact", "icm", "rplus"):
@@ -72,20 +70,20 @@ def inn_solve(inst: SnnInstance, stage2: Stage2Solver | None = None) -> Assignme
 
     kind = stage2.kind
     if kind == "auto":
-        feasible = inst.k <= _EXACT_MAX_K and n_pruned ** inst.k <= stage2.guard
+        feasible = inst.k <= _EXACT_MAX_K and n_pruned ** inst.k <= DEFAULT_GUARD
         kind = "exact" if feasible else "icm"
 
     if kind == "exact":
         if inst.has_explicit_labels:
-            return brute_force_opt(inst, allowed=pl.label_idx, guard=stage2.guard)
+            return brute_force_opt(inst, allowed=pl.label_idx)
         sub = replace(inst, labels=pl.label_points)
-        a = brute_force_opt(sub, guard=stage2.guard)
+        a = brute_force_opt(sub)
         return Assignment(points=a.points, nn_cost=a.nn_cost, pw_cost=a.pw_cost,
                           total=a.total, idx=None)
 
     sub = replace(inst, labels=pl.label_points)
     if kind == "icm":
-        a = euclidean_refine(sub, pl.nn_pos, passes=stage2.refine_passes)
+        a = euclidean_refine(sub, pl.nn_pos)
     else:  # rplus
         a = rplus_solve(sub, orient_edges(inst.graph))
     if inst.has_explicit_labels and a.idx is not None:

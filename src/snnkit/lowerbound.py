@@ -10,7 +10,10 @@ Labeling every query with its attachment vertex costs
 k * multiplicity + k * d * multiplicity / 2, while nearest-label pruning
 keeps only the leaves themselves (each query is its own nearest label at
 distance zero), which forces pairwise distances through the leaf edges and
-inflates the achievable optimum as k grows.
+inflates the achievable optimum.  With d = 3, the default multiplicity and
+seed 42 the exact gap is 1.3636 at k = 4 and 1.4444 at k = 8; estimates at
+k = 16, 32 and 64 read 1.4308, 1.4712 and 1.4256, so growth with k is not
+measured past k = 32.
 """
 from __future__ import annotations
 
@@ -77,5 +80,5 @@ def attachment_cost(params: LowerBoundParams) -> float:
 
 
 def default_multiplicity(k: int) -> int:
-    """ceil(sqrt(log2 k)): the scaling that makes the family's gap grow."""
+    """ceil(sqrt(log2 k)): the scaling meant to make the family's gap grow."""
     return int(np.ceil(np.sqrt(np.log2(k))))

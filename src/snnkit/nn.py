@@ -24,9 +24,6 @@ class NnIndex:
         if self.points.size == 0:
             raise ValueError("cannot index an empty point set")
 
-    def __len__(self):
-        return len(self.points)
-
     def nn_map(self, queries) -> np.ndarray:
         """Id of the closest label for every query; ties go to the smallest id."""
         qs = np.asarray(queries)

@@ -100,16 +100,16 @@ def rplus_solve(inst: SnnInstance, orientation: Orientation | None = None,
         else np.unique(np.asarray(allowed, dtype=np.int64))
     pts = inst.labels[ids]
 
-    # anchor_count[i, j]: edge instances between i and j owned by j
-    k = inst.k
-    anchor = np.zeros((k, k))
-    if len(orientation.edges):
-        e = orientation.edges
-        own = orientation.owner
-        non_owner = np.where(own == e[:, 0], e[:, 1], e[:, 0])
-        np.add.at(anchor, (non_owner, own), 1.0)
-
     d_q = inst.space.cross(inst.queries, pts)          # (k, L)
-    score = d_q + (anchor @ d_q) / (r + 1)
+    # pull[i]: distances from every label to the anchors of i, the other
+    # endpoints of the edge instances at i that they own; gathered k edge
+    # instances at a time, so that no gathered block outgrows d_q
+    e, own = orientation.edges, orientation.owner
+    non_owner = np.where(own == e[:, 0], e[:, 1], e[:, 0])
+    pull = np.zeros_like(d_q)
+    k = inst.k
+    for s in range(0, len(own), k):
+        np.add.at(pull, non_owner[s:s + k], d_q[own[s:s + k]])
+    score = d_q + pull / (r + 1)
     choice = np.argmin(score, axis=1)
     return cost(inst, ids[choice])

@@ -182,6 +182,14 @@ def zero_ext_enum(dist_tt, weights_edges, n_terminals, n_free):
     return best
 
 
-def patch_distance(p, q):
-    """Squared-channel-difference distance between two flat patch rows."""
-    return sum((float(a) - float(b)) ** 2 for a, b in zip(p, q))
+def rplus_scores(queries, labels, dist, edges, owner, r):
+    """Score of every label for every query under an edge orientation:
+    d(q_i, p) plus d(q_j, p) / (r + 1) for each edge instance (u, v) at i
+    whose owner j is the other endpoint."""
+    scores = []
+    for i, q in enumerate(queries):
+        anchors = [queries[o] for (u, v), o in zip(edges, owner)
+                   if i in (u, v) and o != i]
+        scores.append([dist(q, p) + sum(dist(a, p) for a in anchors) / (r + 1)
+                       for p in labels])
+    return scores

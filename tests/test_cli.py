@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import snnkit.cli
+import snnkit.denoise
 from snnkit.cli import main
 from snnkit.core import make_instance
 from snnkit.generators import cartoon_fixture
@@ -87,6 +89,29 @@ def test_denoise_fixture_experiment(tmp_path, capsys):
     assert "gap" in capsys.readouterr().out
 
 
+def test_denoise_experiment_solves_each_label_space_once(tmp_path, monkeypatch):
+    calls = {"denoise_pixels": 0, "relax": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    pixels = counted("denoise_pixels", snnkit.denoise.denoise_pixels)
+    monkeypatch.setattr(snnkit.denoise, "denoise_pixels", pixels)
+    monkeypatch.setattr(snnkit.cli, "denoise_pixels", pixels)
+    monkeypatch.setattr(snnkit.denoise, "relax", counted("relax", snnkit.denoise.relax))
+    img = tmp_path / "img.ppm"
+    save_ppm(img, cartoon_fixture(16, 16))
+    assert main(["denoise", str(img), "--seeds", "2",
+                 "--out-prefix", str(tmp_path / "exp")]) == 0
+    assert calls == {"denoise_pixels": 2, "relax": 1}
+    for part in ("noisy", "full", "image"):
+        assert (tmp_path / f"exp-{part}.ppm").exists()
+    assert load_json(tmp_path / "exp-report.json")["schema"] == "denoise-report/1"
+
+
 def test_denoise_patches_subcommand(tmp_path, capsys):
     img = tmp_path / "img.ppm"
     save_ppm(img, np.random.default_rng(0).integers(
@@ -95,7 +120,7 @@ def test_denoise_patches_subcommand(tmp_path, capsys):
                  "--out-prefix", str(tmp_path / "p")]) == 0
     assert (tmp_path / "p-patched.ppm").exists()
     assert (tmp_path / "p-noisy.ppm").exists()
-    assert load_json(tmp_path / "p-report.json")["schema"] == "patch-report/1"
+    assert load_json(tmp_path / "p-report.json")["schema"] == "patch-report/2"
 
 
 def test_missing_file_exits_2(tmp_path):

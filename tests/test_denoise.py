@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import patch_distance
+from oracles import euclid
 from snnkit.core import cost_points
 from snnkit.denoise import (PATCH, NoiseConfig, _patch_stack, add_noise,
                             denoise_patches, denoise_pixels,
@@ -142,8 +142,10 @@ def test_patch_stack_matches_naive():
             assert (rows[py * pw + px] == want).all()
 
 
-def test_denoise_patches_matches_naive_objective():
+def test_denoise_patches_reports_the_euclidean_objective_of_its_choice():
     img = random_image(10, 16, seed=8)
+    # a left half of period 3 repeats its patches: 9 distinct among 24
+    img[:, :8] = np.tile(random_image(3, 3, seed=5), (4, 3, 1))[:10, :8]
     noise = NoiseConfig(density=0.05, seed=9)
     noisy, out, rep = denoise_patches(img, noise)
     # independent recomputation with plain loops
@@ -151,34 +153,27 @@ def test_denoise_patches_matches_naive_objective():
     assert (noisy[:, :half] == img[:, :half]).all()
     db, _ = _patch_stack(img[:, :half])
     qs, (ph, pw) = _patch_stack(noisy[:, half:])
-    nbrs = {n: [] for n in range(ph * pw)}
-    for py in range(ph):
-        for px in range(pw):
-            n = py * pw + px
-            if px + 1 < pw:
-                nbrs[n].append(n + 1)
-                nbrs[n + 1].append(n)
-            if py + 1 < ph:
-                nbrs[n].append(n + pw)
-                nbrs[n + pw].append(n)
-    choice = []
-    for n in range(len(qs)):
-        scores = [patch_distance(p, qs[n])
-                  + sum(patch_distance(p, qs[m]) for m in nbrs[n]) / PATCH
-                  for p in db]
-        order = sorted(range(len(db)), key=lambda t: scores[t])
-        # guard against near-ties that would make the check ambiguous
-        assert scores[order[1]] - scores[order[0]] > 1e-6
-        choice.append(order[0])
-    nn = sum(patch_distance(db[c], q) for c, q in zip(choice, qs))
-    pw_cost = 0.0
-    for n in range(len(qs)):
-        for m in nbrs[n]:
-            if m > n:
-                pw_cost += patch_distance(db[choice[n]], db[choice[m]])
+    db, qs = db.tolist(), qs.tolist()
+    pairs = [(n, n + 1) for n in range(ph * pw) if (n + 1) % pw]
+    pairs += [(n, n + pw) for n in range(ph * pw - pw)]
+
+    def objective(rows):
+        nn = sum(euclid(db[c], q) for c, q in zip(rows, qs))
+        return nn, sum(euclid(db[rows[n]], db[rows[m]]) for n, m in pairs)
+
+    # each query's nearest patch, the lowest row among equals
+    nearest = [min(range(len(db)), key=lambda t: (euclid(db[t], q), t)) for q in qs]
+    pruned = {tuple(db[t]) for t in nearest}
+    choice = rep.choice.tolist()
+    assert len(choice) == len(qs)
+    for c in choice:
+        assert tuple(db[c]) in pruned
+        assert db.index(db[c]) == c
+    nn, pw_cost = objective(choice)
     assert rep.nn_cost == pytest.approx(nn, rel=1e-9)
     assert rep.pw_cost == pytest.approx(pw_cost, rel=1e-9)
     assert rep.total == pytest.approx(nn + pw_cost, rel=1e-9)
+    assert rep.total <= sum(objective(nearest)) + 1e-9
     assert rep.n_db == len(db) and rep.n_query == len(qs)
     assert out.shape == img.shape and out.dtype == np.uint8
     assert (out[:, :half] == img[:, :half]).all()

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import space_dist
+from oracles import rplus_scores
 from snnkit.core import brute_force_opt, cost, make_instance
+from snnkit.denoise import NoiseConfig, add_noise, pixel_instance
 from snnkit.graphs import Orientation, orient_edges
 from snnkit.metric import EuclideanSpace
 from snnkit.nn import NnIndex
@@ -32,6 +37,30 @@ def test_rplus_bound_random(sweep):
         a = rplus_solve(item.inst)
         bound = (2 * item.r + 1) * item.opt.total + 1e-9
         assert a.total <= bound
+
+
+def test_rplus_picks_a_best_scoring_label(sweep):
+    for item in sweep.items:
+        inst = item.inst
+        o = orient_edges(inst.graph)
+        a = rplus_solve(inst, orientation=o)
+        scores = rplus_scores(inst.queries, inst.labels, space_dist(inst.space),
+                              o.edges.tolist(), o.owner.tolist(), o.r)
+        for row, pick in zip(scores, a.idx):
+            assert row[pick] <= min(row) + 1e-9
+
+
+def test_rplus_memory_stays_linear_on_a_palette(cartoon):
+    # 4,096 pixels: a dense pixel-by-pixel anchor matrix alone would take 134 MB
+    inst = pixel_instance(add_noise(cartoon, NoiseConfig()), "image")
+    o = orient_edges(inst.graph)
+    tracemalloc.start()
+    try:
+        rplus_solve(inst, orientation=o)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_rplus_empty_graph_is_plain_nn():
