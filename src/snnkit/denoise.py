@@ -98,8 +98,10 @@ def denoise_pixels(img: np.ndarray, label_space: str = "image") -> PixelRun:
     The full cube is solved through its convex relaxation: the relaxed
     colors are rounded to the lattice and refined by ICM.  The image palette
     goes through the pruning pipeline (the palette is what pruning the cube
-    keeps) and is solved by ICM from each pixel's own color.  Neither draws
-    randomness.  Reported costs are true Euclidean objectives.
+    keeps) and is solved by ICM from each pixel's own color; past 400
+    palette colors ICM starts instead from the cube relaxation's nearest
+    palette colors when those cost less.  Neither draws randomness.
+    Reported costs are true Euclidean objectives.
     """
     h, w = np.asarray(img).shape[:2]
     inst = pixel_instance(img, "full")

@@ -3,9 +3,15 @@
 Stage 1 replaces the label set with the distinct nearest labels of the
 queries (for lattice label spaces this is exactly the set of query colors
 rounded to the lattice).  Stage 2 solves the joint objective restricted to
-the pruned set, by exact enumeration, by iterated conditional modes (ICM)
-started from the stage-1 nearest-label map, or by the orientation-based
-aggregate-NN solver.
+the pruned set, by exact enumeration, by iterated conditional modes (ICM),
+or by the orientation-based aggregate-NN solver.
+
+ICM starts from the stage-1 nearest-label map.  On a Euclidean instance over
+a lattice box whose pruned set keeps more labels than the convex
+relaxation's iteration count, it starts instead from the relaxed labels'
+nearest pruned labels, when that map costs strictly less: ICM then makes
+fewer moves and stops lower.  Smaller palettes keep the nearest-label
+start, as the relaxation would cost more than the ICM it saves.
 """
 from __future__ import annotations
 
@@ -14,11 +20,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Assignment, DEFAULT_GUARD, SnnInstance, brute_force_opt,
+from .core import (Assignment, DEFAULT_GUARD, SnnInstance, brute_force_opt, cost,
                    nn_label_map)
 from .graphs import orient_edges
+from .metric import LatticeBox
+from .nn import NnIndex
 from .sparse import rplus_solve
-from .treesolve import euclidean_refine
+from .treesolve import _RELAX_ITERS, euclidean_refine, relax
 
 _EXACT_MAX_K = 8
 
@@ -28,7 +36,10 @@ class Stage2Solver:
     """Configuration of the second stage.
 
     kind "auto" picks exact enumeration for small instances (at most 8
-    queries and within the enumeration guard) and ICM otherwise.
+    queries and within the enumeration guard) and ICM otherwise.  ICM
+    starts from the nearest-label map, or from the convex relaxation's
+    nearest pruned labels on large Euclidean lattice palettes (see the
+    module docstring).
     """
     kind: str = "auto"
 
@@ -58,6 +69,22 @@ def pruned_label_set(inst: SnnInstance) -> PrunedLabels:
                         nn_pos=pos.reshape(-1), nn_idx=None, label_idx=None)
 
 
+def _icm_start(inst: SnnInstance, sub: SnnInstance, pl: PrunedLabels) -> np.ndarray:
+    """ICM's start, as rows of the pruned set sub.labels.
+
+    The stage-1 nearest-label map, unless the instance is Euclidean over a
+    lattice box and keeps more than _RELAX_ITERS labels: then the relaxed
+    labels' nearest pruned labels, when they cost strictly less.  Below
+    that size the relaxation's iterations would outweigh ICM's passes.
+    """
+    if (not isinstance(inst.labels, LatticeBox) or inst.space.kind != "euclidean"
+            or len(pl.label_points) <= _RELAX_ITERS):
+        return pl.nn_pos
+    x, _ = relax(inst)
+    seeded = NnIndex(inst.space, pl.label_points).nn_map(x)
+    return seeded if cost(sub, seeded).total < cost(sub, pl.nn_pos).total else pl.nn_pos
+
+
 def inn_solve(inst: SnnInstance, stage2: Stage2Solver | None = None) -> Assignment:
     """Prune to nearest labels, then run the configured stage-2 solver.
 
@@ -83,7 +110,7 @@ def inn_solve(inst: SnnInstance, stage2: Stage2Solver | None = None) -> Assignme
 
     sub = replace(inst, labels=pl.label_points)
     if kind == "icm":
-        a = euclidean_refine(sub, pl.nn_pos)
+        a = euclidean_refine(sub, _icm_start(inst, sub, pl))
     else:  # rplus
         a = rplus_solve(sub, orient_edges(inst.graph))
     if inst.has_explicit_labels and a.idx is not None:

@@ -20,49 +20,39 @@ the tree exposes distances, not nodes.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .metric import LatticeBox
 
-_M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix(x: int) -> int:
-    """splitmix64 finalizer: cheap, well-distributed 64-bit hash."""
-    x = (x + _GOLDEN) & _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+def _mix(x) -> np.ndarray:
+    """splitmix64 finalizer on uint64 arrays (arithmetic wraps mod 2^64):
+    cheap, well-distributed 64-bit hash."""
+    x = np.array(x, dtype=np.uint64, ndmin=1) + _GOLDEN
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
     return x ^ (x >> 31)
 
 
-def _unit(x: int) -> float:
-    return _mix(x) / 2.0 ** 64
-
-
-def _split(ilo, ihi, key: int, depth: int, dim: int) -> tuple[int, int]:
-    """(axis, cut) of a non-unit lattice cell.
+def _split(ilo, ihi, key, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """(axis, cut) of a batch of non-unit lattice cells, rows of (n, dim)
+    bounds with their (n,) keys, all at one depth.
 
     The axis cycles with depth, skipping axes of unit width.  A split value
     is drawn from the middle band [40%, 60%] of [lo, hi] on that axis; cut,
     its floor, is the last coordinate that goes left, clamped so both sides
     are nonempty.
     """
-    axis = depth % dim
-    for _ in range(dim):
-        if ihi[axis] > ilo[axis]:
-            break
-        axis = (axis + 1) % dim
-    a, b = ilo[axis], ihi[axis]
-    s = 0.6 * a + 0.4 * b + 0.2 * (b - a) * _unit(key ^ 3)
-    cut = math.floor(s)
-    if cut < a:
-        cut = a
-    elif cut > b - 1:
-        cut = b - 1
-    return axis, cut
+    dim = ilo.shape[1]
+    turn = (depth + np.arange(dim)) % dim
+    axis = turn[np.argmax((ihi > ilo)[:, turn], axis=1)]
+    rows = np.arange(len(axis))
+    a, b = ilo[rows, axis], ihi[rows, axis]
+    u = _mix(key ^ np.uint64(3)).astype(float) / 2.0 ** 64
+    cut = np.floor(0.6 * a + 0.4 * b + 0.2 * (b - a) * u).astype(np.int64)
+    return axis, np.clip(cut, a, b - 1)
 
 
 class TreeMetric:
@@ -75,73 +65,50 @@ class TreeMetric:
     def __init__(self, box: LatticeBox, seed: int):
         self.box = box
         self.dim = box.dim
-        self.root = _mix((seed & _M64) ^ 0x5EED)
+        self.root = _mix((seed % 2 ** 64) ^ 0x5EED)[0]
 
-    def tree_dist(self, p, q) -> float:
-        """Tree distance between two lattice points; plain-int descent."""
-        dim, box = self.dim, self.box
-        a = [int(x) for x in np.asarray(p).reshape(-1)]
-        b = [int(x) for x in np.asarray(q).reshape(-1)]
-        pf, qf = np.asarray(p, dtype=float).reshape(-1), np.asarray(q, dtype=float).reshape(-1)
-        if len(a) != dim or len(b) != dim:
-            raise ValueError(f"point dimension != {dim}")
-        for v, vf in zip(a + b, np.concatenate([pf, qf])):
-            if v != vf or v < box.lo or v > box.hi:
-                raise ValueError("point outside the lattice box")
-        ilo = [box.lo] * dim
-        ihi = [box.hi] * dim
-        key = self.root
+    def tree_dist(self, p, q):
+        """Tree distances between lattice points p[i] and q[i], rows of
+        (n, dim) arrays; a float for a single pair of (dim,) points.
+
+        Both points of every pair walk down from the root in lockstep.
+        Once their cells part, each arm sums the diameters of its cells,
+        top down, leaf included.
+        """
+        pf, qf = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        single = pf.ndim == qf.ndim == 1
+        pf, qf = np.atleast_2d(pf), np.atleast_2d(qf)
+        if pf.shape != qf.shape or pf.ndim != 2 or pf.shape[1] != self.dim:
+            raise ValueError(f"need two matching (n, {self.dim}) point arrays")
+        pts = np.concatenate([pf, qf])
+        if not self.box.contains(pts):
+            raise ValueError("point outside the lattice box")
+        n = len(pf)
+        pts = pts.astype(np.int64)
+        ilo = np.full_like(pts, self.box.lo)
+        ihi = np.full_like(pts, self.box.hi)
+        key = np.full(2 * n, self.root, dtype=np.uint64)
+        arm = np.zeros(2 * n)
+        parted = np.zeros(n, dtype=bool)
+        walk = np.flatnonzero((ilo != ihi).any(axis=1))   # walkers not at a leaf
         depth = 0
-        while True:
-            if ilo == ihi:
-                return 0.0  # unit cell reached together: identical points
-            axis, cut = _split(ilo, ihi, key, depth, dim)
-            sa, sb = a[axis] <= cut, b[axis] <= cut
-            if sa == sb:
-                if sa:
-                    ihi[axis] = cut
-                    key = _mix(key ^ 1)
-                else:
-                    ilo[axis] = cut + 1
-                    key = _mix(key ^ 2)
-                depth += 1
-                continue
-            lkey, rkey = _mix(key ^ 1), _mix(key ^ 2)
-            total = 0.0
-            for pt, side_lo, seed2, d2 in (
-                    (a if sa else b, True, lkey, depth + 1),
-                    (b if sa else a, False, rkey, depth + 1)):
-                clo, chi = list(ilo), list(ihi)
-                if side_lo:
-                    chi[axis] = cut
-                else:
-                    clo[axis] = cut + 1
-                total += self._arm_length(pt, clo, chi, seed2, d2)
-            return total
-
-    def _arm_length(self, pt, ilo, ihi, key, depth) -> float:
-        """Sum of cell diameters from the cell (ilo, ihi) down to pt's leaf."""
-        dim = self.dim
-        acc = 0.0
-        while True:
-            ssq = 0.0
-            unit = True
-            for i in range(dim):
-                w = ihi[i] - ilo[i] + 1
-                ssq += w * w
-                if w > 1:
-                    unit = False
-            acc += math.sqrt(ssq)
-            if unit:
-                return acc
-            axis, cut = _split(ilo, ihi, key, depth, dim)
-            if pt[axis] <= cut:
-                ihi[axis] = cut
-                key = _mix(key ^ 1)
-            else:
-                ilo[axis] = cut + 1
-                key = _mix(key ^ 2)
+        while len(walk):
+            axis, cut = _split(ilo[walk], ihi[walk], key[walk], depth)
+            left = pts[walk, axis] <= cut
+            ihi[walk[left], axis[left]] = cut[left]
+            ilo[walk[~left], axis[~left]] = cut[~left] + 1
+            key[walk] = _mix(key[walk] ^ np.where(left, np.uint64(1), np.uint64(2)))
+            # until parting both points of a pair share a cell, so walk together
+            side = np.zeros(2 * n, dtype=bool)
+            side[walk] = left
+            parted |= side[:n] != side[n:]
+            on = walk[parted[walk % n]]
+            w = (ihi[on] - ilo[on] + 1).astype(float)
+            arm[on] += np.sqrt((w * w).sum(axis=1))
+            walk = walk[(ilo[walk] != ihi[walk]).any(axis=1)]
             depth += 1
+        d = arm[:n] + arm[n:]
+        return float(d[0]) if single else d
 
 
 def build_tree_metric(labels, seed: int) -> TreeMetric:

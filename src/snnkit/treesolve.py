@@ -38,11 +38,17 @@ def relax(inst: SnnInstance) -> tuple[np.ndarray, float]:
     min_x sum_i kappa_i |x_i - q_i| + sum_e w_e |x_i - x_j| with x in the
     box, one dual vector z_e, |z_e| <= w_e, per collapsed edge and
     tau = sigma = 0.99 / sqrt(2 * max degree).  The primal step shrinks
-    toward q_i, then clips to the box.  With v = D^T z and R_i the distance
-    from q_i to the farthest box corner, every x in the box costs at least
-    LB = sum_i <v_i, q_i> - sum_i max(|v_i| - kappa_i, 0) * R_i, which is
-    returned less _LB_ROUNDING times the magnitude of its terms.  Returns
-    the last primal iterate, shape (k, dim), and that bound.
+    toward q_i, then clips to the box.  With v = D^T z, every x in the box
+    costs at least sum_i <v_i, q_i> + m_i, where m_i bounds the minimum of
+    kappa_i |y| + <v_i, y> over y in the box less q_i from below by the
+    larger of two estimates:
+    - radial: -max(|v_i| - kappa_i, 0) * R_i, with R_i the distance from
+      q_i to the farthest box corner;
+    - separable: kappa |y| >= (kappa / sqrt(dim)) |y|_1 splits the minimum
+      into one over each coordinate's range, attained at 0 or at an end
+      (exact in one dimension).
+    That bound is returned less _LB_ROUNDING times the magnitude of its
+    terms.  Returns the last primal iterate, shape (k, dim), and the bound.
     """
     box = inst.labels
     if not isinstance(box, LatticeBox) or inst.space.kind != "euclidean":
@@ -75,12 +81,20 @@ def relax(inst: SnnInstance) -> tuple[np.ndarray, float]:
         xbar = 2.0 * x_new - x
         x = x_new
     v = Dt @ z
-    far = np.linalg.norm(np.maximum(Q - box.lo, box.hi - Q), axis=1)
     gain = np.einsum("ij,ij->i", v, Q)
+    # row i's minimum over the box of kappa_i |y| + <v_i, y>, y = x_i - q_i,
+    # bounded by a radial and by a separable estimate
+    far = np.linalg.norm(np.maximum(Q - box.lo, box.hi - Q), axis=1)
     loss = np.maximum(np.linalg.norm(v, axis=1) - inst.kappa, 0.0) * far
+    c = kap / np.sqrt(box.dim)
+    t = np.stack([box.lo - Q, box.hi - Q])      # the two ends of each coordinate's range
+    ends = c * np.abs(t) + v * t
+    sep = np.minimum(ends.min(axis=0), np.where((t[0] <= 0) & (t[1] >= 0), 0.0, np.inf))
+    row = np.maximum(-loss, sep.sum(axis=1))
     diam = (box.hi - box.lo) * np.sqrt(box.dim)
-    slack = _LB_ROUNDING * (np.abs(gain).sum() + loss.sum() + w.sum() * diam)
-    return x, float(gain.sum() - loss.sum() - slack)
+    scale = ((c + np.abs(v)) * np.abs(t).max(axis=0)).sum()
+    slack = _LB_ROUNDING * (np.abs(gain).sum() + loss.sum() + scale + w.sum() * diam)
+    return x, float(gain.sum() + row.sum() - slack)
 
 
 def _lattice_scorer(inst: SnnInstance):

@@ -37,6 +37,10 @@ class ZeroExtInstance:
             raise ValueError("need at least one terminal")
         if self.n_free < 0:
             raise ValueError("free vertex count must be nonnegative")
+        if not np.isfinite(self.edges).all():
+            raise ValueError("edge endpoints and weights must be finite")
+        if not np.isfinite(self.terminal_points).all():
+            raise ValueError("terminal coordinates must be finite")
         n = self.n_vertices
         if len(self.edges):
             u, v, w = self.edges[:, 0], self.edges[:, 1], self.edges[:, 2]

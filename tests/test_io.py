@@ -60,6 +60,17 @@ def test_zeroext_round_trip(tmp_path):
     assert back.n_free == z.n_free
 
 
+@pytest.mark.parametrize("field, bad", [("edges", [[0, 2, float("nan")]]),
+                                        ("edges", [[0, 2, float("inf")]]),
+                                        ("terminals", [[float("nan")], [1.0]])])
+def test_zeroext_from_dict_refuses_non_finite_input(field, bad):
+    d = {"schema": "zero-extension-instance/1", "space": {"kind": "euclidean", "dim": 1},
+         "terminals": [[0.0], [1.0]], "n_free": 1, "edges": [[0, 2, 1.0]]}
+    zeroext_from_dict(d)
+    with pytest.raises(ValueError, match="finite"):
+        zeroext_from_dict({**d, field: bad})
+
+
 def test_assignment_dict_shape():
     inst = make_instance(EuclideanSpace(1), np.array([[0.0], [10.0]]),
                          np.array([[1.0], [9.0]]), edges=[(0, 1)])

@@ -18,18 +18,19 @@ def walk_cells(tm):
         if ilo == ihi:
             yield ilo, ihi, key, depth, None
             continue
-        axis, cut = _split(ilo, ihi, key, depth, tm.dim)
+        axis, cut = (int(v[0]) for v in _split(np.array([ilo]), np.array([ihi]),
+                                               np.array([key]), depth))
         yield ilo, ihi, key, depth, axis
         lhi, rlo = list(ihi), list(ilo)
         lhi[axis], rlo[axis] = cut, cut + 1
-        stack.append((ilo, lhi, _mix(key ^ 1), depth + 1))
-        stack.append((rlo, ihi, _mix(key ^ 2), depth + 1))
+        stack.append((ilo, lhi, _mix(key ^ 1)[0], depth + 1))
+        stack.append((rlo, ihi, _mix(key ^ 2)[0], depth + 1))
 
 
 def test_lattice_root_split_in_band():
     for seed in range(12):
         tm = build_tree_metric(LatticeBox(0, 255, 3), seed)
-        _, cut = _split([0] * 3, [255] * 3, tm.root, 0, 3)
+        _, (cut,) = _split(np.zeros((1, 3), int), np.full((1, 3), 255), np.array([tm.root]), 0)
         # cut is the floor of a split value drawn from [40%, 60%] of 0..255
         assert math.floor(0.4 * 255) <= cut <= 0.6 * 255
 
@@ -67,12 +68,15 @@ def test_tree_dist_triangle_inequality_sampled():
 
 
 def test_lattice_fast_path_matches_generic_descent():
-    tm = build_tree_metric(LatticeBox(0, 255, 3), 42)
-    rng = np.random.default_rng(6)
-    for _ in range(250):
-        p, q = rng.integers(0, 256, 3), rng.integers(0, 256, 3)
-        assert tm.tree_dist(p, q) == pytest.approx(
-            generic_descent_dist(0, 255, 3, 42, p, q), abs=1e-9)
+    # one batched descent, bit for bit the pure-Python walk of each pair
+    for (lo, hi, dim, seed), n in [((0, 255, 3, 42), 3000), ((0, 8, 2, 0), 300),
+                                   ((-3, 5, 1, 2 ** 63 + 5), 300), ((2, 40, 4, -7), 300)]:
+        tm = build_tree_metric(LatticeBox(lo, hi, dim), seed)
+        rng = np.random.default_rng(6)
+        A, B = rng.integers(lo, hi + 1, (n, dim)), rng.integers(lo, hi + 1, (n, dim))
+        B[:10] = A[:10]
+        want = [generic_descent_dist(lo, hi, dim, seed, p, q) for p, q in zip(A, B)]
+        assert tm.tree_dist(A, B).tolist() == want
 
 
 def test_lattice_tree_dominates_euclidean():
@@ -81,8 +85,7 @@ def test_lattice_tree_dominates_euclidean():
     A = rng.integers(0, 256, (5000, 3))
     B = rng.integers(0, 256, (5000, 3))
     eu = np.linalg.norm((A - B).astype(float), axis=1)
-    for i in range(len(A)):
-        assert tm.tree_dist(A[i], B[i]) + 1e-9 >= eu[i]
+    assert (tm.tree_dist(A, B) + 1e-9 >= eu).all()
 
 
 def test_axis_cycle_skips_zero_extent():
@@ -103,3 +106,5 @@ def test_lattice_rejects_out_of_box():
         tm.tree_dist(np.array([0, 0, 256]), np.array([0, 0, 0]))
     with pytest.raises(ValueError):
         tm.tree_dist(np.array([0.5, 0, 1]), np.array([0, 0, 0]))
+    with pytest.raises(ValueError):
+        tm.tree_dist(np.zeros((3, 3)), np.zeros((2, 3)))

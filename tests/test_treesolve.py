@@ -7,11 +7,12 @@ import pytest
 
 from snnkit import treesolve
 from snnkit.core import brute_force_opt, cost, cost_points, make_instance, nn_label_map
-from snnkit.generators import random_instance
+from snnkit.denoise import NoiseConfig, add_noise, pixel_instance
+from snnkit.generators import cartoon_fixture, random_instance
 from snnkit.graphs import CompatGraph, grid_graph
 from snnkit.inn import Stage2Solver, inn_solve, pruned_label_set
 from snnkit.metric import EuclideanSpace, LatticeBox, MatrixSpace
-from snnkit.nn import lattice_nn_map
+from snnkit.nn import NnIndex, lattice_nn_map
 from snnkit.treemetric import build_tree_metric
 from snnkit.treesolve import euclidean_refine, relax
 
@@ -237,6 +238,27 @@ def test_relax_lower_bound_closes_in_one_dimension():
     assert np.median(ratios) > 0.99
 
 
+def test_relax_lower_bound_closes_with_queries_off_the_box():
+    # in one dimension the separable row bound is each row's exact minimum,
+    # so the bound stays tight where queries lie outside the box
+    rng = np.random.default_rng(23)
+    ratios = []
+    for _ in range(100):
+        k = int(rng.integers(2, 7))
+        box = LatticeBox(0, int(rng.integers(1, 6)), 1)
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.6]
+        queries = rng.integers(-3, 9, (k, 1)).astype(float)
+        inst = make_instance(EuclideanSpace(1), box, queries, edges=pairs,
+                             kappa=rng.uniform(0.1, 2.0, k),
+                             lam=rng.uniform(0.1, 3.0, len(pairs)))
+        _, lb = relax(inst)
+        opt = brute_force_opt(inst).total
+        assert lb <= opt
+        if opt > 0:
+            ratios.append(lb / opt)
+    assert min(ratios) >= 0.99
+
+
 def test_refine_never_costs_more_than_the_rounded_relaxation():
     rng = np.random.default_rng(18)
     for _ in range(30):
@@ -286,3 +308,23 @@ def test_icm_never_costs_more_than_the_nearest_label_map():
             inst = random_instance(rng, max_queries=10)
             start = cost(inst, nn_label_map(inst))
         assert icm(inst).total <= start.total + 1e-9
+
+
+def test_icm_on_a_large_palette_starts_from_the_cheaper_of_two_maps():
+    # 575 pruned colors, past the relaxation's iteration count: ICM starts
+    # from the relaxed colors' nearest pruned colors when those cost less
+    noisy = add_noise(cartoon_fixture(24, 24), NoiseConfig(kind="gaussian", seed=42))
+    inst = pixel_instance(noisy, "full")
+    pl = pruned_label_set(inst)
+    assert len(pl.label_points) > treesolve._RELAX_ITERS
+    sub = replace(inst, labels=pl.label_points)
+    x, _ = relax(inst)
+    starts = [pl.nn_pos, NnIndex(inst.space, pl.label_points).nn_map(x)]
+    cheaper = min(starts, key=lambda s: cost(sub, s).total)   # a tie keeps the first
+    got = icm(inst)
+    assert {tuple(p) for p in got.points.tolist()} <= {tuple(p) for p in pl.label_points.tolist()}
+    assert got.total <= min(cost(sub, s).total for s in starts) + 1e-9
+    want = euclidean_refine(sub, cheaper)
+    assert (got.points == want.points).all()
+    assert got.total == want.total
+    assert got.total < euclidean_refine(sub, pl.nn_pos).total - 1e-9

@@ -106,3 +106,14 @@ def test_validation():
     with pytest.raises(ValueError):
         ZeroExtInstance(space=sp, terminal_points=np.zeros((2, 2)), n_free=1,
                         edges=np.array([[0, 3, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_refused(bad):
+    sp = EuclideanSpace(2)
+    with pytest.raises(ValueError, match="finite"):
+        ZeroExtInstance(space=sp, terminal_points=np.zeros((2, 2)), n_free=1,
+                        edges=np.array([[0, 2, bad]]))
+    with pytest.raises(ValueError, match="finite"):
+        ZeroExtInstance(space=sp, terminal_points=np.array([[0.0, bad], [1.0, 1.0]]),
+                        n_free=1, edges=np.array([[0, 2, 1.0]]))
