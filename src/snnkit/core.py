@@ -163,6 +163,23 @@ def cost_points(inst: SnnInstance, points) -> Assignment:
     return Assignment(points=pts, nn_cost=nn, pw_cost=pw, total=nn + pw, idx=None)
 
 
+def unique_rows(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D array in lexicographic order.
+
+    Returns (rows, first, inverse) as np.unique(a, axis=0, return_index=True,
+    return_inverse=True) does: the distinct rows, the first position of each
+    in a, and each row's position among them.
+    """
+    a = np.asarray(a)
+    order = np.lexsort(a.T[::-1])  # column 0 most significant; stable
+    s = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = np.any(s[1:] != s[:-1], axis=1)
+    inverse = np.empty(len(a), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return s[new], order[new], inverse
+
+
 def _explicit_allowed(inst: SnnInstance, allowed) -> np.ndarray:
     """Resolve the allowed label ids of an explicit label set."""
     n = len(inst.labels)
@@ -222,19 +239,23 @@ def _classes(coloring, rows) -> list[np.ndarray]:
 
 
 def _shared_scorer(unary, dist):
-    """Scorer for _icm when every row picks from the same S labels 0..S-1.
+    """Scorer for _icm when every row picks from the same S labels.
 
-    unary(rows) gives the (rows, S) unary costs and dist(u) the (S, len(u))
-    distances from every label to the labels u.  Neighbor weights are
-    gathered per distinct neighbor label, then priced in one product.
+    Labels are dense ids 0..S-1.  unary(rows) gives the (rows, S) unary
+    costs and dist(u) the (S, len(u)) distances from every label to the
+    labels u.  Neighbor weights are gathered per distinct neighbor label,
+    then priced in one product.
     """
     def score(cur, rows, li, nd, nw):
         s = unary(rows)
         if len(li):
-            u, col = np.unique(cur[nd], return_inverse=True)
-            a = np.zeros((len(rows), len(u)))
-            np.add.at(a, (li, col), nw)
-            s = s + a @ dist(u).T
+            lab = cur[nd]
+            seen = np.zeros(s.shape[1], dtype=bool)
+            seen[lab] = True
+            u = np.flatnonzero(seen)
+            col = (np.cumsum(seen) - 1)[lab]
+            a = np.bincount(li * len(u) + col, weights=nw, minlength=len(rows) * len(u))
+            s = s + a.reshape(len(rows), len(u)) @ dist(u).T
         return s, cur[rows], None
     return score
 

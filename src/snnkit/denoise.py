@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SnnInstance, make_instance
+from .core import SnnInstance, make_instance, unique_rows
 from .graphs import grid_graph
 from .inn import Stage2Solver, inn_solve
 from .metric import EuclideanSpace, LatticeBox
@@ -76,7 +76,7 @@ def pixel_instance(img: np.ndarray, label_space: str = "full") -> SnnInstance:
     if label_space == "full":
         labels = LatticeBox(0, 255, 3)
     elif label_space == "image":
-        labels = np.unique(queries, axis=0)
+        labels = unique_rows(queries)[0]
     else:
         raise ValueError(f"unknown label space {label_space!r}")
     return make_instance(EuclideanSpace(3), labels, queries, grid_graph(w, h))
@@ -252,7 +252,7 @@ def denoise_patches(img: np.ndarray,
     db, _ = _patch_stack(a[:, :half].copy())
     qs, (ph, pw) = _patch_stack(noisy[:, half:].copy())
     # flat regions repeat patches; labeling by distinct rows keeps stage 1 small
-    labels, first = np.unique(db, axis=0, return_index=True)
+    labels, first, _ = unique_rows(db)
     inst = make_instance(EuclideanSpace(db.shape[1]), labels, qs, grid_graph(pw, ph))
     sol = inn_solve(inst, Stage2Solver(kind="icm"))
 

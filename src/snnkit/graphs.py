@@ -11,6 +11,8 @@ import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 
 @dataclass(eq=False)
@@ -63,11 +65,10 @@ class CompatGraph:
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees counting multiplicity."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        if len(self.edges):
-            np.add.at(deg, self.edges[:, 0], self.edges[:, 2])
-            np.add.at(deg, self.edges[:, 1], self.edges[:, 2])
-        return deg
+        e = self.edges
+        ends = np.concatenate([e[:, 0], e[:, 1]])
+        mult = np.concatenate([e[:, 2], e[:, 2]])
+        return np.bincount(ends, weights=mult, minlength=self.n).astype(np.int64)
 
     def expanded(self) -> np.ndarray:
         """One row (i, j) per edge instance, multiplicity unrolled."""
@@ -77,30 +78,35 @@ class CompatGraph:
 
     def neighbor_sets(self) -> list[np.ndarray]:
         """Sorted distinct neighbors per vertex (multiplicity ignored)."""
-        nbrs: list[set] = [set() for _ in range(self.n)]
-        for i, j, _ in self.edges:
-            nbrs[i].add(int(j))
-            nbrs[j].add(int(i))
-        return [np.array(sorted(s), dtype=np.int64) for s in nbrs]
+        n = self.n
+        if n == 0:
+            return []
+        i, j = self.edges[:, 0], self.edges[:, 1]
+        key = np.unique(np.concatenate([i * n + j, j * n + i]))
+        return np.split(key % n, np.searchsorted(key // n, np.arange(1, n)))
 
     def two_coloring(self) -> np.ndarray | None:
-        """BFS 2-coloring; None when the graph has an odd cycle."""
-        color = np.full(self.n, -1, dtype=np.int8)
-        nbrs = self.neighbor_sets()
-        for s in range(self.n):
-            if color[s] >= 0:
-                continue
-            color[s] = 0
-            queue = [s]
-            while queue:
-                v = queue.pop()
-                for u in nbrs[v]:
-                    if color[u] < 0:
-                        color[u] = 1 - color[v]
-                        queue.append(int(u))
-                    elif color[u] == color[v]:
-                        return None
-        return color
+        """2-coloring from the bipartite double cover; None on an odd cycle.
+
+        The cover has vertices v and n+v for every v, and edges (i, n+j)
+        and (n+i, j) for every edge (i, j).  The graph is bipartite exactly
+        when no v shares a cover component with n+v; then each component's
+        vertices split between two cover components, and those sharing one
+        with the component's smallest vertex get color 0, the rest color 1.
+        """
+        n = self.n
+        i, j = self.edges[:, 0], self.edges[:, 1]
+        src = np.concatenate([i, n + i])
+        dst = np.concatenate([n + j, j])
+        cover = coo_array((np.ones(len(src)), (src, dst)), shape=(2 * n, 2 * n))
+        _, side = connected_components(cover, directed=False)
+        here, there = side[:n], side[n:]
+        if np.any(here == there):
+            return None
+        # smallest vertex in each cover component
+        first = np.full(2 * n, n, dtype=np.int64)
+        np.minimum.at(first, here, np.arange(n))
+        return (first[here] > first[there]).astype(np.int8)
 
 
 @dataclass(eq=False)
@@ -168,13 +174,10 @@ def grid_graph(width: int, height: int) -> CompatGraph:
     """4-connected grid over row-major pixel indices (row * width + col)."""
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
-    rows = []
-    for r in range(height):
-        for c in range(width):
-            v = r * width + c
-            if c + 1 < width:
-                rows.append((v, v + 1, 1))
-            if r + 1 < height:
-                rows.append((v, v + width, 1))
-    edges = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    v = np.arange(width * height, dtype=np.int64)
+    # each pixel's right edge, then its down edge, pixels row-major
+    src = np.repeat(v, 2)
+    dst = src + np.tile([1, width], len(v))
+    ok = np.column_stack([v % width + 1 < width, v // width + 1 < height]).reshape(-1)
+    edges = np.column_stack([src[ok], dst[ok], np.ones(int(ok.sum()), dtype=np.int64)])
     return CompatGraph(n=width * height, edges=edges)

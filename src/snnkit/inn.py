@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Assignment, DEFAULT_GUARD, SnnInstance, brute_force_opt, cost,
-                   nn_label_map)
+                   nn_label_map, unique_rows)
 from .graphs import orient_edges
 from .metric import LatticeBox
 from .nn import NnIndex
@@ -64,9 +64,9 @@ def pruned_label_set(inst: SnnInstance) -> PrunedLabels:
         uniq, pos = np.unique(nn, return_inverse=True)
         return PrunedLabels(nn_points=inst.labels[nn], label_points=inst.labels[uniq],
                             nn_pos=pos, nn_idx=nn, label_idx=uniq)
-    pts, pos = np.unique(nn, axis=0, return_inverse=True)
+    pts, _, pos = unique_rows(nn)
     return PrunedLabels(nn_points=nn.astype(float), label_points=pts.astype(float),
-                        nn_pos=pos.reshape(-1), nn_idx=None, label_idx=None)
+                        nn_pos=pos, nn_idx=None, label_idx=None)
 
 
 def _icm_start(inst: SnnInstance, sub: SnnInstance, pl: PrunedLabels) -> np.ndarray:

@@ -193,3 +193,100 @@ def rplus_scores(queries, labels, dist, edges, owner, r):
         scores.append([dist(q, p) + sum(dist(a, p) for a in anchors) / (r + 1)
                        for p in labels])
     return scores
+
+
+def neighbor_lists(n, edges):
+    """Sorted distinct neighbours of every vertex; edges are (i, j, mult) rows."""
+    nbrs = [set() for _ in range(n)]
+    for i, j, _ in edges:
+        nbrs[int(i)].add(int(j))
+        nbrs[int(j)].add(int(i))
+    return [sorted(s) for s in nbrs]
+
+
+def degrees(n, edges):
+    """Vertex degrees counting multiplicity."""
+    deg = [0] * n
+    for i, j, mult in edges:
+        deg[int(i)] += int(mult)
+        deg[int(j)] += int(mult)
+    return deg
+
+
+def two_coloring(n, edges):
+    """Depth-first 2-colouring from each uncoloured vertex in index order,
+    the start vertex coloured 0; None when an odd cycle shows up."""
+    nbrs = neighbor_lists(n, edges)
+    color = [-1] * n
+    for s in range(n):
+        if color[s] >= 0:
+            continue
+        color[s] = 0
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for u in nbrs[v]:
+                if color[u] < 0:
+                    color[u] = 1 - color[v]
+                    stack.append(u)
+                elif color[u] == color[v]:
+                    return None
+    return color
+
+
+def grid_edges(width, height):
+    """4-connected grid rows (v, v', 1): each pixel's right edge, then its
+    down edge, pixels in row-major order."""
+    rows = []
+    for r in range(height):
+        for c in range(width):
+            v = r * width + c
+            if c + 1 < width:
+                rows.append((v, v + 1, 1))
+            if r + 1 < height:
+                rows.append((v, v + width, 1))
+    return rows
+
+
+def icm(dist, queries, labels, edges, kappa, lam, start, passes=10, eps=1e-12):
+    """Iterated conditional modes over an explicit label list.
+
+    Parallel edges are collapsed into one weight per vertex pair.  A pass
+    visits the two colour classes in order when the graph is bipartite, else
+    each query alone in index order; every query of a class is rescored
+    against the labels at the start of its class and moves to its first
+    best label only when that gains more than eps.  Stops after a pass
+    without moves.
+    """
+    k = len(queries)
+    weight = {}
+    for e, (i, j, mult) in enumerate(edges):
+        for a, b in ((int(i), int(j)), (int(j), int(i))):
+            weight.setdefault(a, {})
+            weight[a][b] = weight[a].get(b, 0.0) + float(lam[e]) * int(mult)
+    color = two_coloring(k, edges)
+    if color is None:
+        classes = [[i] for i in range(k)]
+    else:
+        classes = [[i for i in range(k) if color[i] == c] for c in (0, 1)]
+    cur = [int(x) for x in start]
+    for _ in range(passes):
+        changed = False
+        for rows in classes:
+            moves = {}
+            for i in rows:
+                scores = []
+                for p in labels:
+                    s = float(kappa[i]) * dist(queries[i], p)
+                    for j, w in weight.get(i, {}).items():
+                        s += w * dist(p, labels[cur[j]])
+                    scores.append(s)
+                best = min(range(len(labels)), key=lambda t: (scores[t], t))
+                if scores[best] < scores[cur[i]] - eps:
+                    moves[i] = best
+            for i, best in moves.items():
+                cur[i] = best
+                changed = True
+        if not changed:
+            break
+    return cur

@@ -9,7 +9,7 @@ from conftest import space_dist
 from oracles import enum_opt
 from snnkit.core import (GuardExceededError, brute_force_opt, cost,
                          cost_points, make_instance, nn_label_map,
-                         pruning_gap)
+                         pruning_gap, unique_rows)
 from snnkit.denoise import NoiseConfig, add_noise, pixel_instance
 from snnkit.generators import random_instance
 from snnkit.metric import EuclideanSpace, LatticeBox
@@ -179,3 +179,28 @@ def test_non_finite_input_is_rejected(field, bad):
     with pytest.raises(ValueError, match="finite"):
         make_instance(EuclideanSpace(1), args["labels"], args["queries"], edges=[(0, 1)],
                       kappa=args["kappa"], lam=args["lam"])
+
+
+def _row_cases():
+    rng = np.random.default_rng(5)
+    yield rng.integers(-3, 3, size=(400, 3))                # many duplicates, negatives
+    yield rng.integers(-2, 2, size=(50, 1))                 # one column
+    yield rng.integers(-9, 9, size=(1, 4))                  # one row
+    yield rng.integers(0, 2, size=(300, 75))                # 75 columns
+    yield np.repeat(rng.integers(-5, 5, size=(20, 75)), 6, axis=0)[rng.permutation(120)]
+    yield rng.integers(-2**40, 2**40, size=(200, 2))
+    yield rng.normal(size=(200, 3))                         # all distinct
+    yield np.round(rng.normal(size=(500, 2)), 1)            # float duplicates
+    yield rng.choice([-1.5, -0.0, 0.0, 2.25], size=(300, 75))
+
+
+@pytest.mark.parametrize("a", list(_row_cases()), ids=lambda a: f"{a.dtype}-{a.shape[0]}x{a.shape[1]}")
+def test_unique_rows_matches_numpy_unique(a):
+    rows, first, inverse = unique_rows(a)
+    want_rows, want_first, want_inverse = np.unique(a, axis=0, return_index=True,
+                                                    return_inverse=True)
+    assert rows.dtype == a.dtype
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
+    assert np.array_equal(rows[inverse], a)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import min_max_outdegree
 from snnkit.graphs import CompatGraph, Orientation, grid_graph, orient_edges
 
@@ -112,3 +113,65 @@ def test_exact_pseudoarboricity_known_values():
     assert min_max_outdegree(3, [(0, 1), (1, 2), (0, 2)]) == 1   # triangle
     assert min_max_outdegree(2, [(0, 1)] * 3) == 2               # triple edge
     assert min_max_outdegree(5, [(0, i) for i in range(1, 5)]) == 1  # star
+
+
+def _multigraph(n, raw, odd_cycle):
+    """Rows (i, j, mult) from raw triples; with odd_cycle, a triangle on the
+    three highest vertices, joined to nothing below them."""
+    rows = [(min(i % n, j % n), max(i % n, j % n), m) for i, j, m in raw]
+    rows = [(i, j, m) for i, j, m in rows if i != j]
+    if odd_cycle and n >= 6:
+        hi = n - 3
+        rows = [(i, j, m) for i, j, m in rows if (i < hi) == (j < hi)]
+        rows += [(hi, hi + 1, 1), (hi + 1, hi + 2, 2), (hi, hi + 2, 1)]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 14),
+       st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13), st.integers(1, 3)),
+                max_size=20),
+       st.booleans())
+def test_graph_queries_match_the_loop_oracles(n, raw, odd_cycle):
+    rows = _multigraph(n, raw, odd_cycle)
+    g = CompatGraph(n, np.array(rows, dtype=np.int64).reshape(-1, 3))
+    want = oracles.two_coloring(n, rows)
+    col = g.two_coloring()
+    if want is None:
+        assert col is None
+    else:
+        assert col is not None and col.dtype == np.int8
+        assert col.tolist() == want
+    ns = g.neighbor_sets()
+    assert len(ns) == n
+    assert all(a.dtype == np.int64 for a in ns)
+    assert [a.tolist() for a in ns] == oracles.neighbor_lists(n, rows)
+    assert g.degrees().dtype == np.int64
+    assert g.degrees().tolist() == oracles.degrees(n, rows)
+
+
+@pytest.mark.parametrize("rows, bipartite", [
+    # path 0-1-2 (parallel pair), isolated 3, edge 4-5, triangle 6-7-8
+    ([(0, 1, 1), (0, 1, 2), (1, 2, 1), (4, 5, 3), (6, 7, 1), (7, 8, 1), (6, 8, 1)], False),
+    # two components whose smallest vertices sit on the far side of an edge
+    ([(2, 5, 1), (0, 7, 1), (5, 7, 1), (1, 8, 2), (3, 8, 1)], True),
+])
+def test_two_coloring_matches_the_oracle_on_fixed_graphs(rows, bipartite):
+    g = CompatGraph(9, np.array(rows))
+    want = oracles.two_coloring(9, rows)
+    assert (want is not None) == bipartite
+    col = g.two_coloring()
+    assert (col is None) if want is None else (col.tolist() == want)
+
+
+@pytest.mark.parametrize("width, height", [(1, 1), (1, 9), (7, 1), (3, 2), (17, 5)])
+def test_grid_graph_rows_match_the_oracle(width, height):
+    g = grid_graph(width, height)
+    assert g.edges.dtype == np.int64
+    assert [tuple(e) for e in g.edges.tolist()] == oracles.grid_edges(width, height)
+
+
+def test_two_coloring_of_a_large_grid_is_the_checkerboard():
+    g = grid_graph(512, 512)
+    r, c = np.divmod(np.arange(512 * 512), 512)
+    assert np.array_equal(g.two_coloring(), ((r + c) % 2).astype(np.int8))

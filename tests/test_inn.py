@@ -54,6 +54,18 @@ def test_inn_solution_never_beats_full_opt(sweep):
         assert a.total >= item.opt.total - 1e-9
 
 
+@pytest.mark.parametrize("lo, hi, dim", [(-5, 5, 2), (-300, -250, 3), (-1, 0, 1)])
+def test_lattice_pruned_labels_are_sorted_and_indexed_by_nn_pos(lo, hi, dim):
+    rng = np.random.default_rng(lo + 1000)
+    queries = rng.uniform(lo - 3, hi + 3, size=(200, dim))
+    inst = make_instance(EuclideanSpace(dim), LatticeBox(lo, hi, dim), queries)
+    pl = pruned_label_set(inst)
+    pts = pl.label_points
+    assert np.array_equal(pts[pl.nn_pos], pl.nn_points)
+    # distinct and in lexicographic order
+    assert [tuple(p) for p in pts.tolist()] == sorted({tuple(p) for p in pl.nn_points.tolist()})
+
+
 def test_inn_lattice_instance():
     sp = EuclideanSpace(3)
     box = LatticeBox(0, 255, 3)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from snnkit import treesolve
 from snnkit.core import brute_force_opt, cost, cost_points, make_instance, nn_label_map
 from snnkit.denoise import NoiseConfig, add_noise, pixel_instance
@@ -112,6 +113,28 @@ def test_refine_ends_where_no_single_move_helps(graph, bipartite):
                 moved = a.idx.copy()
                 moved[q] = lab
                 assert cost(inst, moved).total >= a.total - 1e-9
+
+
+@pytest.mark.parametrize("rows", [
+    grid_graph(4, 3).edges.tolist() + [[1, 2, 2], [5, 9, 1]],
+    [[i, i + 1, 1] for i in range(4)] + [[0, 4, 1], [1, 2, 3]],
+], ids=["grid4x3", "cycle5"])
+def test_refine_matches_the_loop_icm_oracle(rows):
+    # parallel rows exercise collapsed weights; repeated label points, ties
+    graph = CompatGraph(1 + max(max(r[:2]) for r in rows), np.array(rows))
+    k = graph.n
+    rng = np.random.default_rng(44)
+    for _ in range(30):
+        base = rng.uniform(0, 10, size=(int(rng.integers(2, 7)), 2))
+        labels = base[rng.integers(0, len(base), size=len(base) + 3)]
+        queries = rng.uniform(0, 10, size=(k, 2))
+        kappa = rng.uniform(0.2, 2.0, size=k)
+        lam = rng.uniform(0.2, 3.0, size=graph.num_entries)
+        inst = make_instance(EuclideanSpace(2), labels, queries, graph, kappa=kappa, lam=lam)
+        start = rng.integers(0, len(labels), size=k)
+        want = oracles.icm(oracles.euclid, queries.tolist(), labels.tolist(), rows,
+                           kappa, lam, start.tolist())
+        assert euclidean_refine(inst, start).idx.tolist() == want
 
 
 def test_refine_fixes_an_obvious_mistake():
