@@ -103,7 +103,7 @@ class CompatGraph:
         here, there = side[:n], side[n:]
         if np.any(here == there):
             return None
-        # smallest vertex in each cover component
+        # smallest vertex v < n of each cover component, n where there is none
         first = np.full(2 * n, n, dtype=np.int64)
         np.minimum.at(first, here, np.arange(n))
         return (first[here] > first[there]).astype(np.int8)
