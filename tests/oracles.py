@@ -290,3 +290,51 @@ def icm(dist, queries, labels, edges, kappa, lam, start, passes=10, eps=1e-12):
         if not changed:
             break
     return cur
+
+
+def relax(queries, lo, hi, edges, kappa, lam, iters):
+    """Chambolle-Pock primal iterate for min sum_i kappa_i |x_i - q_i| +
+    sum_e w_e |x_i - x_j| over the box [lo, hi]^dim.
+
+    Parallel edges are collapsed into one weight per vertex pair and
+    weightless pairs dropped; tau = sigma = 0.99 / sqrt(2 * max degree) over
+    what is left.  An iteration: each dual z_e steps by sigma times the
+    extrapolated difference x_i - x_j and is scaled back onto the ball of
+    radius w_e; each x_i steps by -tau times its summed duals, is shrunk
+    toward q_i by tau * kappa_i and clipped to the box; the extrapolation is
+    2 x_new - x.  Returns x after iters iterations.
+    """
+    k, dim = len(queries), len(queries[0])
+    weight = {}
+    for e, (i, j, mult) in enumerate(edges):
+        key = (int(i), int(j))
+        weight[key] = weight.get(key, 0.0) + float(lam[e]) * int(mult)
+    pairs = [(i, j, w) for (i, j), w in sorted(weight.items()) if w > 0]
+    deg = [0] * k
+    for i, j, _ in pairs:
+        deg[i] += 1
+        deg[j] += 1
+    tau = sigma = 0.99 / math.sqrt(2 * max([1] + deg))
+    q = [[float(c) for c in p] for p in queries]
+    x = [[min(max(c, lo), hi) for c in p] for p in q]
+    xbar = [p[:] for p in x]
+    z = [[0.0] * dim for _ in pairs]
+    for _ in range(iters):
+        for e, (i, j, w) in enumerate(pairs):
+            ze = [z[e][d] + sigma * (xbar[i][d] - xbar[j][d]) for d in range(dim)]
+            scale = w / max(math.sqrt(sum(c * c for c in ze)), w)
+            z[e] = [c * scale for c in ze]
+        dual = [[0.0] * dim for _ in range(k)]
+        for e, (i, j, _) in enumerate(pairs):
+            for d in range(dim):
+                dual[i][d] += z[e][d]
+                dual[j][d] -= z[e][d]
+        x_new = []
+        for i in range(k):
+            y = [x[i][d] - tau * dual[i][d] - q[i][d] for d in range(dim)]
+            r = math.sqrt(sum(c * c for c in y))
+            shrink = max(r - tau * float(kappa[i]), 0.0) / r if r > 0 else 0.0
+            x_new.append([min(max(q[i][d] + shrink * y[d], lo), hi) for d in range(dim)])
+        xbar = [[2.0 * a - b for a, b in zip(pn, po)] for pn, po in zip(x_new, x)]
+        x = x_new
+    return x

@@ -240,6 +240,36 @@ def test_relax_lower_bound_never_exceeds_the_lattice_optimum(iters, monkeypatch)
         assert lb <= brute_force_opt(inst).total
 
 
+@pytest.mark.parametrize("iters", [1, 5, 50])
+def test_relax_matches_the_loop_oracle(iters, monkeypatch):
+    monkeypatch.setattr(treesolve, "_RELAX_ITERS", iters)
+    rng = np.random.default_rng(29)
+    dims, weightless, off_box = set(), False, False
+    for _ in range(60):
+        inst = tiny_lattice_instance(rng)
+        box = inst.labels
+        x, _ = relax(inst)
+        want = oracles.relax(inst.queries.tolist(), box.lo, box.hi, inst.graph.edges.tolist(),
+                             inst.kappa.tolist(), inst.lam.tolist(), iters)
+        np.testing.assert_allclose(x, want, rtol=0, atol=1e-9)
+        dims.add(box.dim)
+        weightless |= bool((inst.lam == 0).any())
+        off_box |= bool(((inst.queries < box.lo) | (inst.queries > box.hi)).any())
+    assert dims == {1, 2} and weightless and off_box
+
+
+@pytest.mark.parametrize("shape", [(40, d) for d in range(1, 8)] + [(6, 5, d) for d in (1, 3, 7)])
+def test_norms_equal_numpy_norms(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape) * rng.choice([1.0, 1e-300, 1e150], size=shape[:-1] + (1,))
+    a[0] = 0.0
+    a[-1, ..., 0] = 0.0
+    assert np.array_equal(treesolve._norms(a), np.linalg.norm(a, axis=-1))
+    out = np.empty(shape[:-1])
+    assert treesolve._norms(a, out=out) is out
+    assert np.array_equal(out, np.linalg.norm(a, axis=-1))
+
+
 def test_relax_lower_bound_closes_in_one_dimension():
     # with integer queries in a 1-D box the relaxation has an integer
     # optimum, so a converged bound meets the lattice optimum
@@ -351,3 +381,24 @@ def test_icm_on_a_large_palette_starts_from_the_cheaper_of_two_maps():
     assert (got.points == want.points).all()
     assert got.total == want.total
     assert got.total < euclidean_refine(sub, pl.nn_pos).total - 1e-9
+
+
+def test_solvers_leave_the_instance_arrays_unchanged():
+    rng = np.random.default_rng(33)
+    noisy = add_noise(cartoon_fixture(24, 24), NoiseConfig(kind="gaussian", seed=3))
+    cube = pixel_instance(noisy, "full")
+    assert len(pruned_label_set(cube).label_points) > treesolve._RELAX_ITERS  # ICM starts from relax
+    explicit = euclidean_only(rng)
+    explicit = replace(explicit, queries=explicit.queries.astype(float))
+    for inst in (lattice_instance(rng), cube, explicit):
+        assert np.asarray(inst.queries, dtype=float) is inst.queries
+        arrays = [inst.queries, inst.kappa, inst.lam]
+        arrays += [] if isinstance(inst.labels, LatticeBox) else [inst.labels]
+        before = [a.copy() for a in arrays]
+        if isinstance(inst.labels, LatticeBox):
+            x, _ = relax(inst)
+            euclidean_refine(inst, lattice_nn_map(inst.labels, x))
+        else:
+            euclidean_refine(inst, rng.integers(0, inst.n_labels, inst.k))
+        icm(inst)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
