@@ -106,13 +106,12 @@ def cmd_denoise(args) -> int:
     img = cartoon_fixture() if args.image == "fixture" else load_ppm(args.image)
     noise = _noise_from_args(args)
     prefix = args.out_prefix
-    if args.seeds > 1:
-        seeds = range(DEFAULT_SEED, DEFAULT_SEED + args.seeds)
-        noisy, rep = pixel_gap_experiment(img, noise, seeds)
+    if args.space == "both":
+        noisy, rep = pixel_gap_experiment(img, noise)
         print(rep.table(args.image))
         if prefix:
             save_ppm(f"{prefix}-noisy.ppm", noisy)
-            for run in rep.runs:
+            for run in (rep.full, rep.image):
                 save_ppm(f"{prefix}-{run.label_space}.ppm", run.image)
             sio.save_json(f"{prefix}-report.json", rep.to_dict())
             print(f"wrote {prefix}-*.ppm and {prefix}-report.json")
@@ -191,9 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("denoise", help="grid-labeling denoiser")
     sp.add_argument("image", help="PPM path, or 'fixture' for the built-in cartoon")
-    sp.add_argument("--space", choices=["image", "full"], default="image")
-    sp.add_argument("--seeds", type=int, default=1,
-                    help="run the two-space comparison when > 1")
+    sp.add_argument("--space", choices=["image", "full", "both"], default="image",
+                    help="'both' compares the two label spaces")
     add_noise_args(sp)
     sp.add_argument("--out-prefix", default=None)
     sp.set_defaults(func=cmd_denoise)

@@ -4,10 +4,10 @@ Pixel denoising labels every noisy pixel with an RGB color, trading
 fidelity to the observed color against color distance along grid edges
 (unit weights, Euclidean RGB).  Two label spaces are compared: the full
 {0..255}^3 cube, and the colors present in the noisy image itself; the
-latter is exactly what nearest-label pruning of the cube produces, so the
-ratio of the two achieved costs is an empirical pruning gap.  The cube is
-solved through its convex relaxation, whose certified lower bound on the
-cube optimum also bounds the palette cost's approximation factor.
+latter is exactly what nearest-label pruning of the cube produces.  The
+comparison solves each space once: the ratio of the two achieved costs is
+an estimated pruning gap, and the palette cost over the certified lower
+bound that the cube's convex relaxation gives is a certified factor.
 
 Patch denoising reconstructs the right half of an image from clean 5x5
 patches of the left half by the same two-step method: the noisy patches are
@@ -121,79 +121,53 @@ def denoise_pixels(img: np.ndarray, label_space: str = "image") -> PixelRun:
 
 @dataclass(eq=False)
 class DenoiseReport:
-    """Across-seed comparison of the two label spaces on one noisy image."""
-    seeds: list[int]
-    costs_full: list[float]
-    costs_image: list[float]
-    lower_bound: float          # certified bound on the cube optimum
-    runs: tuple[PixelRun, PixelRun]   # the full and image solves, for their images
+    """The two label spaces' solves of one noisy image, compared."""
+    full: PixelRun
+    image: PixelRun
 
     @property
-    def mean_full(self) -> float:
-        return float(np.mean(self.costs_full))
-
-    @property
-    def mean_image(self) -> float:
-        return float(np.mean(self.costs_image))
-
-    @property
-    def spread_full(self) -> float:
-        """Relative std in percent."""
-        m = self.mean_full
-        return float(np.std(self.costs_full) / m * 100) if m else 0.0
-
-    @property
-    def spread_image(self) -> float:
-        m = self.mean_image
-        return float(np.std(self.costs_image) / m * 100) if m else 0.0
+    def lower_bound(self) -> float:
+        """Certified bound on the cube optimum."""
+        return self.full.lower_bound
 
     @property
     def empirical_gap(self) -> float:
-        return self.mean_image / self.mean_full if self.mean_full else 1.0
+        """An estimate: image cost over a heuristic cube cost."""
+        return self.image.total / self.full.total if self.full.total else 1.0
+
+    @property
+    def certified_factor(self) -> float | None:
+        """Image cost over the lower bound; None unless the bound is positive."""
+        return self.image.total / self.lower_bound if self.lower_bound > 0 else None
 
     def table(self, name: str = "image") -> str:
-        """The gap is an estimate: image cost over a heuristic cube cost.  The
-        certified line divides by the lower bound instead."""
-        head = (f"{'input':<12} {'avg cost (full)':>20} {'avg cost (image)':>20} "
-                f"{'gap (est.)':>11}")
-        row = (f"{name:<12} {self.mean_full:>14.1f} ±{self.spread_full:>4.1f}% "
-               f"{self.mean_image:>14.1f} ±{self.spread_image:>4.1f}% "
+        head = f"{'input':<12} {'cost (full)':>14} {'cost (image)':>14} {'gap (est.)':>11}"
+        row = (f"{name:<12} {self.full.total:>14.1f} {self.image.total:>14.1f} "
                f"{self.empirical_gap:>11.3f}")
-        if self.lower_bound > 0:
-            cert = (f"certified: image ÷ LB ≤ {self.mean_image / self.lower_bound:.4f} "
-                    f"(LB = {self.lower_bound:.1f})")
-        else:
+        if self.certified_factor is None:
             cert = f"certified: none, LB = {self.lower_bound:.1f} is not positive"
+        else:
+            cert = (f"certified: image ÷ LB ≤ {self.certified_factor:.4f} "
+                    f"(LB = {self.lower_bound:.1f})")
         return head + "\n" + row + "\n" + cert
 
     def to_dict(self) -> dict:
         return {
-            "schema": "denoise-report/1",
-            "seeds": list(map(int, self.seeds)),
-            "costs_full": self.costs_full,
-            "costs_image": self.costs_image,
-            "mean_full": self.mean_full,
-            "mean_image": self.mean_image,
-            "spread_full_pct": self.spread_full,
-            "spread_image_pct": self.spread_image,
+            "schema": "denoise-report/2",
+            "cost_full": self.full.total,
+            "cost_image": self.image.total,
             "empirical_gap": self.empirical_gap,
             "lower_bound": self.lower_bound,
+            "certified_factor": self.certified_factor,
         }
 
 
-def pixel_gap_experiment(clean: np.ndarray, noise: NoiseConfig,
-                         seeds=range(42, 62)) -> tuple[np.ndarray, DenoiseReport]:
-    """Noise the image once, then denoise it over both label spaces.
-
-    Neither solve draws randomness, so each runs once and its cost stands
-    for every seed.
-    """
+def pixel_gap_experiment(clean: np.ndarray,
+                         noise: NoiseConfig) -> tuple[np.ndarray, DenoiseReport]:
+    """Noise the image once, then denoise it once over each label space."""
     noisy = add_noise(clean, noise)
-    seeds = list(seeds)
-    full, image = denoise_pixels(noisy, "full"), denoise_pixels(noisy, "image")
-    return noisy, DenoiseReport(seeds=seeds, costs_full=[full.total] * len(seeds),
-                                costs_image=[image.total] * len(seeds),
-                                lower_bound=full.lower_bound, runs=(full, image))
+    return noisy, DenoiseReport(full=denoise_pixels(noisy, "full"),
+                                image=denoise_pixels(noisy, "image"))
 
 
 # ---------- patch-level denoising ----------

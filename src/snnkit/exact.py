@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SnnInstance, _classes, _collapsed, _directed, _icm, _shared_scorer, cost
+from .core import (SnnInstance, _classes, _collapsed, _directed, _explicit_allowed, _icm,
+                   _shared_scorer, cost)
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -58,10 +59,7 @@ def bb_opt(inst: SnnInstance, allowed=None, node_budget: int | None = None,
     """
     if not inst.has_explicit_labels:
         raise TypeError("bb_opt needs an explicit label set")
-    ids = np.arange(len(inst.labels), dtype=np.int64) if allowed is None \
-        else np.unique(np.asarray(allowed, dtype=np.int64))
-    if len(ids) == 0:
-        raise ValueError("allowed label set must be nonempty")
+    ids = _explicit_allowed(inst, allowed)
     pts = inst.labels[ids]
     k = inst.k
     L = len(ids)

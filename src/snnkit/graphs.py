@@ -15,6 +15,16 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 
+def _as_int(v, what: str) -> int:
+    """An integer-valued number as int; booleans and fractions are refused,
+    not truncated."""
+    if type(v) is int or isinstance(v, np.integer):   # bool is not int here
+        return int(v)
+    if isinstance(v, (float, np.floating)) and float(v).is_integer():
+        return int(v)
+    raise ValueError(f"{what} must be an integer, got {v!r}")
+
+
 @dataclass(eq=False)
 class CompatGraph:
     """Undirected multigraph on vertices 0..n-1.
@@ -50,8 +60,9 @@ class CompatGraph:
                 i, j, m = p[0], p[1], 1
             else:
                 i, j, m = p
-            i, j = (int(i), int(j)) if i <= j else (int(j), int(i))
-            rows.append((i, j, int(m)))
+            i, j = _as_int(i, "edge endpoint"), _as_int(j, "edge endpoint")
+            m = _as_int(m, "edge multiplicity")
+            rows.append((i, j, m) if i <= j else (j, i, m))
         arr = np.array(rows, dtype=np.int64).reshape(-1, 3)
         return cls(n=n, edges=arr)
 

@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from .core import Assignment, SnnInstance, make_instance
-from .graphs import CompatGraph
+from .graphs import CompatGraph, _as_int
 from .metric import EuclideanSpace, LatticeBox, MatrixSpace
 from .zeroext import ZeroExtInstance
 
@@ -31,7 +31,7 @@ def _space_to_dict(space) -> dict:
 def _space_from_dict(d: dict):
     kind = d.get("kind")
     if kind == "euclidean":
-        return EuclideanSpace(int(d["dim"]))
+        return EuclideanSpace(_as_int(d["dim"], "dim"))
     if kind in ("explicit-matrix", "graph-shortest-path"):
         return MatrixSpace(np.asarray(d["matrix"], dtype=float), kind=kind)
     raise ValueError(f"unknown space kind {kind!r}")
@@ -49,10 +49,10 @@ def _points_to_list(space, pts):
 def _points_from_list(space, obj):
     if isinstance(obj, dict) and "lattice" in obj:
         spec = obj["lattice"]
-        return LatticeBox(int(spec["lo"]), int(spec["hi"]), int(spec["dim"]))
+        return LatticeBox(*(_as_int(spec[f], f"lattice {f}") for f in ("lo", "hi", "dim")))
     if isinstance(space, EuclideanSpace):
         return np.asarray(obj, dtype=float)
-    return np.asarray(obj, dtype=np.int64)
+    return np.array([_as_int(v, "point id") for v in obj], dtype=np.int64)
 
 
 def instance_to_dict(inst: SnnInstance) -> dict:
@@ -95,7 +95,7 @@ def zeroext_from_dict(d: dict) -> ZeroExtInstance:
     space = _space_from_dict(d["space"])
     terms = _points_from_list(space, d["terminals"])
     return ZeroExtInstance(space=space, terminal_points=terms,
-                           n_free=int(d["n_free"]),
+                           n_free=_as_int(d["n_free"], "n_free"),
                            edges=np.asarray(d.get("edges", []), dtype=float).reshape(-1, 3))
 
 

@@ -1,7 +1,8 @@
 """Binary PPM (P6) image IO, maxval 255 only.
 
 Header parsing tolerates `#` comments and arbitrary whitespace, as the
-format allows.  Anything that is not an 8-bit binary RGB PPM is rejected.
+format allows; the magic must be exactly `P6` and every number plain ASCII
+digits.  Anything that is not an 8-bit binary RGB PPM is rejected.
 """
 from __future__ import annotations
 
@@ -12,38 +13,53 @@ class PpmFormatError(ValueError):
     pass
 
 
+def _skip_comment(data: bytes, i: int) -> int:
+    """Offset of the line end that closes a comment starting at `i`, if any."""
+    if data[i:i + 1] == b"#":
+        while i < len(data) and data[i] not in (0x0A, 0x0D):
+            i += 1
+    return i
+
+
 def _tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """First `count` header tokens and the offset one byte past the last."""
+    """First `count` header tokens and the offset one byte past the last.
+
+    A comment may start anywhere in the header, also right after a token,
+    and ends that token.
+    """
     toks: list[bytes] = []
     i = 0
     n = len(data)
     while len(toks) < count:
         while i < n and data[i:i + 1].isspace():
             i += 1
-        if i < n and data[i:i + 1] == b"#":
-            while i < n and data[i] not in (0x0A, 0x0D):
-                i += 1
+        if data[i:i + 1] == b"#":
+            i = _skip_comment(data, i)
             continue
         start = i
-        while i < n and not data[i:i + 1].isspace():
+        while i < n and not data[i:i + 1].isspace() and data[i:i + 1] != b"#":
             i += 1
         if start == i:
             raise PpmFormatError("truncated header")
         toks.append(data[start:i])
+    # exactly one whitespace byte after maxval; a comment before it is skipped
+    i = _skip_comment(data, i)
     if i >= n:
         raise PpmFormatError("truncated file")
-    return toks, i + 1  # exactly one whitespace byte after maxval
+    return toks, i + 1
 
 
 def load_ppm(path) -> np.ndarray:
     """Read a binary RGB image; returns (height, width, 3) uint8."""
     with open(path, "rb") as f:
         data = f.read()
-    if not data.startswith(b"P6"):
-        raise PpmFormatError("not a binary PPM (P6) file")
     toks, offset = _tokens(data, 4)
+    if toks[0] != b"P6":
+        raise PpmFormatError("not a binary PPM (P6) file")
     try:
-        width, height, maxval = int(toks[1]), int(toks[2]), int(toks[3])
+        if not all(t.isdigit() for t in toks[1:]):   # ASCII decimal digits only
+            raise ValueError
+        width, height, maxval = map(int, toks[1:])   # raises past int's digit limit
     except ValueError:
         raise PpmFormatError("malformed header") from None
     if width < 1 or height < 1:

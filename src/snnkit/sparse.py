@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Assignment, SnnInstance, cost, nn_label_map
+from .core import Assignment, SnnInstance, _explicit_allowed, cost, nn_label_map
 from .graphs import Orientation, orient_edges
 
 
@@ -96,8 +96,7 @@ def rplus_solve(inst: SnnInstance, orientation: Orientation | None = None,
         orientation = orient_edges(inst.graph)
     r = orientation.r
 
-    ids = np.arange(len(inst.labels), dtype=np.int64) if allowed is None \
-        else np.unique(np.asarray(allowed, dtype=np.int64))
+    ids = _explicit_allowed(inst, allowed)
     pts = inst.labels[ids]
 
     d_q = inst.space.cross(inst.queries, pts)          # (k, L)

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import snnkit.cli
 import snnkit.denoise
-from snnkit.cli import main
+from snnkit.cli import build_parser, main
 from snnkit.core import make_instance
 from snnkit.generators import cartoon_fixture
 from snnkit.io import load_json, save_instance
@@ -70,6 +72,15 @@ def test_lowerbound_subcommand(tmp_path, capsys):
     assert main(["gap", str(out)]) == 0
 
 
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [ln.split("#", 1)[0] for ln in block.splitlines() if ln.startswith("snn ")]
+    assert len(lines) >= 5
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+
 def test_denoise_single_run(tmp_path, capsys):
     img = tmp_path / "img.ppm"
     save_ppm(img, cartoon_fixture(10, 10))
@@ -81,12 +92,14 @@ def test_denoise_single_run(tmp_path, capsys):
 
 
 def test_denoise_fixture_experiment(tmp_path, capsys):
-    assert main(["denoise", "fixture", "--seeds", "2",
+    assert main(["denoise", "fixture", "--space", "both",
                  "--out-prefix", str(tmp_path / "exp")]) == 0
     doc = load_json(tmp_path / "exp-report.json")
-    assert doc["schema"] == "denoise-report/1"
+    assert doc["schema"] == "denoise-report/2"
     assert doc["empirical_gap"] > 0
-    assert "gap" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "gap (est.)" in out
+    assert f"certified: image ÷ LB ≤ {doc['certified_factor']:.4f}" in out
 
 
 def test_denoise_experiment_solves_each_label_space_once(tmp_path, monkeypatch):
@@ -104,12 +117,12 @@ def test_denoise_experiment_solves_each_label_space_once(tmp_path, monkeypatch):
     monkeypatch.setattr(snnkit.denoise, "relax", counted("relax", snnkit.denoise.relax))
     img = tmp_path / "img.ppm"
     save_ppm(img, cartoon_fixture(16, 16))
-    assert main(["denoise", str(img), "--seeds", "2",
+    assert main(["denoise", str(img), "--space", "both",
                  "--out-prefix", str(tmp_path / "exp")]) == 0
     assert calls == {"denoise_pixels": 2, "relax": 1}
     for part in ("noisy", "full", "image"):
         assert (tmp_path / f"exp-{part}.ppm").exists()
-    assert load_json(tmp_path / "exp-report.json")["schema"] == "denoise-report/1"
+    assert load_json(tmp_path / "exp-report.json")["schema"] == "denoise-report/2"
 
 
 def test_denoise_patches_subcommand(tmp_path, capsys):
@@ -145,6 +158,15 @@ def test_non_finite_query_exits_2(inst_path, tmp_path):
     p = tmp_path / "nan.json"
     p.write_text(json.dumps(doc))
     assert main(["oracle", str(p)]) == 2
+
+
+def test_fractional_edge_endpoint_exits_2(inst_path, tmp_path, capsys):
+    doc = load_json(inst_path)
+    doc["edges"][0][1] += 0.5
+    p = tmp_path / "frac.json"
+    p.write_text(json.dumps(doc))
+    assert main(["solve", str(p)]) == 2
+    assert "edge endpoint must be an integer" in capsys.readouterr().err
 
 
 def test_denoise_full_prints_the_lower_bound(capsys):

@@ -108,26 +108,33 @@ def test_cube_lower_bound_is_below_both_costs():
 
 def test_pixel_gap_experiment_report():
     clean = cartoon_fixture(10, 10)
-    noisy, rep = pixel_gap_experiment(clean, NoiseConfig(density=0.05, seed=5),
-                                      seeds=[42, 43])
-    assert rep.seeds == [42, 43]
-    assert len(rep.costs_full) == len(rep.costs_image) == 2
-    assert rep.empirical_gap > 0
-    assert 0 < rep.lower_bound <= min(rep.costs_full)
+    noisy, rep = pixel_gap_experiment(clean, NoiseConfig(density=0.05, seed=5))
+    assert np.array_equal(noisy, add_noise(clean, NoiseConfig(density=0.05, seed=5)))
+    assert (rep.full.label_space, rep.image.label_space) == ("full", "image")
+    assert rep.lower_bound == rep.full.lower_bound
+    assert 0 < rep.lower_bound <= rep.full.total
+    assert rep.empirical_gap == rep.image.total / rep.full.total
+    assert rep.certified_factor == rep.image.total / rep.lower_bound
+    assert rep.certified_factor >= rep.empirical_gap
     d = rep.to_dict()
-    assert d["schema"] == "denoise-report/1"
-    assert d["lower_bound"] == rep.lower_bound
+    assert d == {"schema": "denoise-report/2", "cost_full": rep.full.total,
+                 "cost_image": rep.image.total, "empirical_gap": rep.empirical_gap,
+                 "lower_bound": rep.lower_bound,
+                 "certified_factor": rep.certified_factor}
     table = rep.table()
     assert "image" in table and "gap (est.)" in table
-    assert f"certified: image ÷ LB ≤ {rep.mean_image / rep.lower_bound:.4f}" in table
+    assert f"{rep.full.total:.1f}" in table and f"{rep.image.total:.1f}" in table
+    assert f"certified: image ÷ LB ≤ {rep.certified_factor:.4f}" in table
 
 
 def test_report_certifies_nothing_without_a_positive_bound():
     # a flat image without noise costs nothing, so no factor can be certified
     _, rep = pixel_gap_experiment(np.full((4, 4, 3), 9, dtype=np.uint8),
-                                  NoiseConfig(kind="none"), seeds=[42])
-    assert rep.costs_full == rep.costs_image == [0.0]
+                                  NoiseConfig(kind="none"))
+    assert rep.full.total == rep.image.total == 0.0
     assert rep.lower_bound <= 0
+    assert rep.certified_factor is None
+    assert rep.to_dict()["certified_factor"] is None
     assert "certified: none" in rep.table()
 
 

@@ -7,6 +7,7 @@ from snnkit.core import brute_force_opt, cost, make_instance
 from snnkit.exact import NodeBudgetExceeded, bb_opt
 from snnkit.generators import random_instance
 from snnkit.metric import EuclideanSpace
+from snnkit.sparse import rplus_solve
 
 
 def test_bb_matches_brute_force_on_random_instances():
@@ -18,6 +19,15 @@ def test_bb_matches_brute_force_on_random_instances():
         assert got.total == pytest.approx(want.total, abs=1e-9)
         # the assignment it returns must actually cost what it claims
         assert cost(inst, got.idx).total == pytest.approx(got.total, abs=1e-9)
+
+
+@pytest.mark.parametrize("solver", [brute_force_opt, bb_opt, rplus_solve])
+@pytest.mark.parametrize("allowed", [[3], [-1], []], ids=["past-end", "negative", "empty"])
+def test_solvers_refuse_allowed_ids_outside_the_label_set(solver, allowed):
+    inst = make_instance(EuclideanSpace(1), np.array([[0.0], [5.0], [10.0]]),
+                         np.array([[1.0], [9.0]]), edges=[(0, 1)])
+    with pytest.raises(ValueError, match="allowed label"):
+        solver(inst, allowed=allowed)
 
 
 def test_bb_matches_brute_force_weighted():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,48 @@ def test_zeroext_from_dict_refuses_non_finite_input(field, bad):
          "terminals": [[0.0], [1.0]], "n_free": 1, "edges": [[0, 2, 1.0]]}
     zeroext_from_dict(d)
     with pytest.raises(ValueError, match="finite"):
+        zeroext_from_dict({**d, field: bad})
+
+
+_EUCLID = {"schema": "snn-instance/1", "space": {"kind": "euclidean", "dim": 1},
+           "labels": {"lattice": {"lo": 0, "hi": 3, "dim": 1}},
+           "queries": [[0.5], [2.0]], "edges": [[0, 1, 2]]}
+_MATRIX = {"schema": "snn-instance/1",
+           "space": {"kind": "explicit-matrix", "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+           "labels": [0, 1], "queries": [2, 1], "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize("base, keys, bad", [
+    (_EUCLID, ("edges",), [[0, 1.7]]),
+    (_EUCLID, ("edges",), [[0, 1, 2.5]]),
+    (_EUCLID, ("edges",), [[False, True]]),
+    (_EUCLID, ("space", "dim"), 1.5),
+    (_EUCLID, ("labels", "lattice", "lo"), 0.5),
+    (_EUCLID, ("labels", "lattice", "dim"), True),
+    (_MATRIX, ("labels",), [0.5, 1]),
+    (_MATRIX, ("queries",), [2, False]),
+], ids=["endpoint", "multiplicity", "bool-endpoints", "dim", "lattice-lo", "lattice-dim",
+        "label-id", "query-id"])
+def test_instance_from_dict_refuses_non_integers(base, keys, bad):
+    instance_from_dict(base)
+    d = copy.deepcopy(base)
+    *parents, last = keys
+    target = d
+    for key in parents:
+        target = target[key]
+    target[last] = bad
+    with pytest.raises(ValueError, match="must be an integer"):
+        instance_from_dict(d)
+
+
+@pytest.mark.parametrize("field, bad", [("n_free", 1.5), ("n_free", True),
+                                        ("space", {"kind": "euclidean", "dim": 1.5})],
+                         ids=["n_free", "bool-n_free", "dim"])
+def test_zeroext_from_dict_refuses_non_integers(field, bad):
+    d = {"schema": "zero-extension-instance/1", "space": {"kind": "euclidean", "dim": 1},
+         "terminals": [[0.0], [1.0]], "n_free": 1, "edges": [[0, 2, 1.0]]}
+    zeroext_from_dict(d)
+    with pytest.raises(ValueError, match="must be an integer"):
         zeroext_from_dict({**d, field: bad})
 
 
