@@ -16,7 +16,7 @@ from .denoise import (NoiseConfig, add_noise, denoise_patches, denoise_pixels,
                       pixel_gap_experiment)
 from .generators import cartoon_fixture
 from .graphs import orient_edges
-from .inn import Stage2Solver, inn_solve, pruned_label_set
+from .inn import KINDS, inn_solve, pruned_label_set
 from .lowerbound import (LowerBoundParams, attachment_cost,
                          build_lower_bound_instance, default_multiplicity)
 from .ppm import PpmFormatError, load_ppm, save_ppm
@@ -36,7 +36,7 @@ def _write_or_print(doc: dict, out: str | None):
 
 def cmd_solve(args) -> int:
     inst = sio.load_instance(args.instance)
-    a = inn_solve(inst, Stage2Solver(kind=args.stage2))
+    a = inn_solve(inst, args.stage2)
     pl = pruned_label_set(inst)
     print(f"pruned labels: {len(pl.label_points)} of {inst.n_labels}")
     print(f"nn={a.nn_cost:.6f} pw={a.pw_cost:.6f} total={a.total:.6f}")
@@ -152,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="prune then solve an instance file")
     sp.add_argument("instance")
-    sp.add_argument("--stage2", choices=["auto", "exact", "icm", "rplus"],
-                    default="auto")
+    sp.add_argument("--stage2", choices=KINDS, default="auto")
     add_out(sp)
     sp.set_defaults(func=cmd_solve)
 

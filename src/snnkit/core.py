@@ -338,8 +338,6 @@ class PruningReport:
     opt_pruned: float
     alpha: float
     pruned_labels: np.ndarray
-    full: Assignment
-    pruned: Assignment
 
 
 def nn_label_map(inst: SnnInstance) -> np.ndarray:
@@ -349,7 +347,7 @@ def nn_label_map(inst: SnnInstance) -> np.ndarray:
     return lattice_nn_map(inst.labels, inst.queries)
 
 
-def pruning_gap(inst: SnnInstance, guard: int = DEFAULT_GUARD) -> PruningReport:
+def pruning_gap(inst: SnnInstance) -> PruningReport:
     """Ratio of the exact optimum over nearest-label survivors to the true one.
 
     Both optima come from brute_force_opt, so this is exact and subject to
@@ -358,14 +356,12 @@ def pruning_gap(inst: SnnInstance, guard: int = DEFAULT_GUARD) -> PruningReport:
     """
     if not inst.has_explicit_labels:
         raise TypeError("pruning_gap needs an explicit label set")
-    nn_idx = nn_label_map(inst)
-    pruned = np.unique(nn_idx)
-    full_opt = brute_force_opt(inst, guard=guard)
-    pruned_opt = brute_force_opt(inst, allowed=pruned, guard=guard)
+    pruned = np.unique(nn_label_map(inst))
+    full_opt = brute_force_opt(inst)
+    pruned_opt = brute_force_opt(inst, allowed=pruned)
     if full_opt.total > 0:
         alpha = pruned_opt.total / full_opt.total
     else:
         alpha = 1.0 if pruned_opt.total <= 1e-12 else np.inf
     return PruningReport(opt_full=full_opt.total, opt_pruned=pruned_opt.total,
-                         alpha=float(alpha), pruned_labels=pruned,
-                         full=full_opt, pruned=pruned_opt)
+                         alpha=float(alpha), pruned_labels=pruned)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import SnnInstance, make_instance, unique_rows
 from .graphs import grid_graph
-from .inn import Stage2Solver, inn_solve
+from .inn import inn_solve
 from .metric import EuclideanSpace, LatticeBox
 from .nn import lattice_nn_map
 from .treesolve import euclidean_refine, relax
@@ -110,7 +110,7 @@ def denoise_pixels(img: np.ndarray, label_space: str = "image") -> PixelRun:
         x, lower_bound = relax(inst)
         a = euclidean_refine(inst, lattice_nn_map(inst.labels, x))
     elif label_space == "image":
-        a = inn_solve(inst, Stage2Solver(kind="icm"))
+        a = inn_solve(inst, "icm")
     else:
         raise ValueError(f"unknown label space {label_space!r}")
     out = np.clip(np.rint(np.asarray(a.points, dtype=float)), 0, 255)
@@ -228,7 +228,7 @@ def denoise_patches(img: np.ndarray,
     # flat regions repeat patches; labeling by distinct rows keeps stage 1 small
     labels, first, _ = unique_rows(db)
     inst = make_instance(EuclideanSpace(db.shape[1]), labels, qs, grid_graph(pw, ph))
-    sol = inn_solve(inst, Stage2Solver(kind="icm"))
+    sol = inn_solve(inst, "icm")
 
     # paste: average every output pixel over the chosen patches covering it
     accum = np.zeros((h, w - half, 3))

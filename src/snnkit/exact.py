@@ -24,7 +24,6 @@ class NodeBudgetExceeded(RuntimeError):
 @dataclass
 class SearchStats:
     nodes: int
-    optimum: float
 
 
 def _visit_order(k: int, adj: list[list[tuple[int, float]]]) -> list[int]:
@@ -97,42 +96,46 @@ def bb_opt(inst: SnnInstance, allowed=None, node_budget: int | None = None,
     hsum = float(h.sum())
     nodes = 0
 
-    def dfs(depth: int, partial: float, hsum: float):
-        nonlocal incumbent, best, nodes
-        if depth == k:
-            if partial < incumbent:
-                incumbent = partial
-                best = assigned.copy()
-            return
+    # depth-first search on an explicit stack, one frame per labeled query:
+    # its candidates in score order, the next one's position, the partial
+    # cost, the rest of the bound, and the neighbor updates of the candidate
+    # being searched
+    def frame(depth, partial, hsum):
         v = order[depth]
-        rest = hsum - h[v]
-        cand = np.argsort(acc[v], kind="stable")
-        for c in cand:
-            c = int(c)
-            lb = partial + acc[v, c] + rest
-            if lb >= incumbent - 1e-12:
-                break  # candidates are score-sorted; later ones only get worse
-            if node_budget is not None and nodes >= node_budget:
-                raise NodeBudgetExceeded(f"budget of {node_budget} nodes exhausted")
-            nodes += 1
-            assigned[v] = c
-            touched = []
-            new_hsum = rest
-            for u, wt in adj[v]:
-                if assigned[u] < 0:
-                    old = h[u]
-                    acc[u] += wt * d_lab[:, c]
-                    h[u] = acc[u].min()
-                    new_hsum += h[u] - old
-                    touched.append((u, old, wt))
-            dfs(depth + 1, partial + float(acc[v, c]), new_hsum)
-            for u, old, wt in touched:
-                acc[u] -= wt * d_lab[:, c]
-                h[u] = old
-            assigned[v] = -1
+        return [np.argsort(acc[v], kind="stable"), 0, partial, hsum - h[v], ()]
 
-    dfs(0, 0.0, hsum)
+    stack = [frame(0, 0.0, hsum)]
+    while stack:
+        f = stack[-1]
+        cand, pos, partial, rest, touched = f
+        v = order[len(stack) - 1]
+        for u, old, wt in touched:   # take back the candidate just searched
+            acc[u] -= wt * d_lab[:, assigned[v]]
+            h[u] = old
+        assigned[v] = -1
+        if pos == L or partial + acc[v, cand[pos]] + rest >= incumbent - 1e-12:
+            stack.pop()  # candidates are score-sorted; later ones only get worse
+            continue
+        if node_budget is not None and nodes >= node_budget:
+            raise NodeBudgetExceeded(f"budget of {node_budget} nodes exhausted")
+        nodes += 1
+        c = assigned[v] = int(cand[pos])
+        touched, new_hsum = [], rest
+        for u, wt in adj[v]:
+            if assigned[u] < 0:
+                old = h[u]
+                acc[u] += wt * d_lab[:, c]
+                h[u] = acc[u].min()
+                new_hsum += h[u] - old
+                touched.append((u, old, wt))
+        f[1], f[4] = pos + 1, touched
+        child = partial + float(acc[v, c])
+        if len(stack) < k:
+            stack.append(frame(len(stack), child, new_hsum))
+        elif child < incumbent:
+            incumbent, best = child, assigned.copy()
+
     a = cost(inst, ids[best])
     if return_stats:
-        return a, SearchStats(nodes=nodes, optimum=a.total)
+        return a, SearchStats(nodes=nodes)
     return a

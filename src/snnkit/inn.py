@@ -3,8 +3,10 @@
 Stage 1 replaces the label set with the distinct nearest labels of the
 queries (for lattice label spaces this is exactly the set of query colors
 rounded to the lattice).  Stage 2 solves the joint objective restricted to
-the pruned set, by exact enumeration, by iterated conditional modes (ICM),
-or by the orientation-based aggregate-NN solver.
+the pruned set.  inn_solve names the stage-2 method by a string from
+KINDS: "exact" enumeration, "icm" (iterated conditional modes), "rplus"
+(the orientation-based aggregate-NN solver), or "auto", which picks
+between the first two by instance size.
 
 ICM starts from the stage-1 nearest-label map.  On a Euclidean instance over
 a lattice box whose pruned set keeps more labels than the convex
@@ -29,44 +31,28 @@ from .sparse import rplus_solve
 from .treesolve import _RELAX_ITERS, euclidean_refine, relax
 
 _EXACT_MAX_K = 8
-
-
-@dataclass
-class Stage2Solver:
-    """Configuration of the second stage.
-
-    kind "auto" picks exact enumeration for small instances (at most 8
-    queries and within the enumeration guard) and ICM otherwise.  ICM
-    starts from the nearest-label map, or from the convex relaxation's
-    nearest pruned labels on large Euclidean lattice palettes (see the
-    module docstring).
-    """
-    kind: str = "auto"
-
-    def __post_init__(self):
-        if self.kind not in ("auto", "exact", "icm", "rplus"):
-            raise ValueError(f"unknown stage-2 solver {self.kind!r}")
+KINDS = ("auto", "exact", "icm", "rplus")
 
 
 @dataclass(eq=False)
 class PrunedLabels:
-    """Outcome of stage 1."""
-    nn_points: np.ndarray           # nearest label point per query
+    """Outcome of stage 1.
+
+    Query i's nearest label is label_points[nn_pos[i]]; on an explicit label
+    set its id is label_idx[nn_pos[i]].
+    """
     label_points: np.ndarray        # distinct survivors, id-sorted
     nn_pos: np.ndarray              # each query's nearest label, as a row of label_points
-    nn_idx: Optional[np.ndarray]    # ids into the original labels (explicit only)
-    label_idx: Optional[np.ndarray]
+    label_idx: Optional[np.ndarray]  # survivor ids into the original labels (explicit only)
 
 
 def pruned_label_set(inst: SnnInstance) -> PrunedLabels:
     nn = nn_label_map(inst)
     if inst.has_explicit_labels:
         uniq, pos = np.unique(nn, return_inverse=True)
-        return PrunedLabels(nn_points=inst.labels[nn], label_points=inst.labels[uniq],
-                            nn_pos=pos, nn_idx=nn, label_idx=uniq)
+        return PrunedLabels(label_points=inst.labels[uniq], nn_pos=pos, label_idx=uniq)
     pts, _, pos = unique_rows(nn)
-    return PrunedLabels(nn_points=nn.astype(float), label_points=pts.astype(float),
-                        nn_pos=pos, nn_idx=None, label_idx=None)
+    return PrunedLabels(label_points=pts.astype(float), nn_pos=pos, label_idx=None)
 
 
 def _icm_start(inst: SnnInstance, sub: SnnInstance, pl: PrunedLabels) -> np.ndarray:
@@ -85,37 +71,32 @@ def _icm_start(inst: SnnInstance, sub: SnnInstance, pl: PrunedLabels) -> np.ndar
     return seeded if cost(sub, seeded).total < cost(sub, pl.nn_pos).total else pl.nn_pos
 
 
-def inn_solve(inst: SnnInstance, stage2: Stage2Solver | None = None) -> Assignment:
-    """Prune to nearest labels, then run the configured stage-2 solver.
+def inn_solve(inst: SnnInstance, kind: str = "auto") -> Assignment:
+    """Prune to nearest labels, then solve stage 2 by `kind`, one of KINDS.
 
-    The returned labels are always drawn from the pruned set.  Label ids
-    refer to the original instance when it has explicit labels.
+    "auto" runs "exact" on at most 8 queries within the enumeration guard,
+    and "icm" otherwise.  The returned labels are always drawn from the
+    pruned set; their ids refer to the original instance when it has
+    explicit labels.
     """
-    stage2 = stage2 or Stage2Solver()
+    if kind not in KINDS:
+        raise ValueError(f"unknown stage-2 solver {kind!r}")
     pl = pruned_label_set(inst)
     n_pruned = len(pl.label_points)
 
-    kind = stage2.kind
     if kind == "auto":
         feasible = inst.k <= _EXACT_MAX_K and n_pruned ** inst.k <= DEFAULT_GUARD
         kind = "exact" if feasible else "icm"
 
-    if kind == "exact":
-        if inst.has_explicit_labels:
-            return brute_force_opt(inst, allowed=pl.label_idx)
-        sub = replace(inst, labels=pl.label_points)
-        a = brute_force_opt(sub)
-        return Assignment(points=a.points, nn_cost=a.nn_cost, pw_cost=a.pw_cost,
-                          total=a.total, idx=None)
-
+    if kind == "exact" and inst.has_explicit_labels:
+        return brute_force_opt(inst, allowed=pl.label_idx)
     sub = replace(inst, labels=pl.label_points)
-    if kind == "icm":
+    if kind == "exact":
+        a = brute_force_opt(sub)
+    elif kind == "icm":
         a = euclidean_refine(sub, _icm_start(inst, sub, pl))
     else:  # rplus
         a = rplus_solve(sub, orient_edges(inst.graph))
-    if inst.has_explicit_labels and a.idx is not None:
-        idx = pl.label_idx[a.idx]
-    else:
-        idx = None
-    return Assignment(points=a.points, nn_cost=a.nn_cost, pw_cost=a.pw_cost,
-                      total=a.total, idx=idx)
+    if inst.has_explicit_labels:
+        return replace(a, idx=pl.label_idx[a.idx])
+    return replace(a, idx=None)

@@ -1,7 +1,9 @@
-"""JSON file formats for instances, 0-extension problems and results.
+"""JSON file formats for instances and results.
 
 Every document carries a "schema" tag.  Graph-derived metrics are stored as
-their materialized matrices, so files are self-contained.
+their materialized matrices, so files are self-contained.  Loading refuses
+what the format does not state: booleans, strings or nulls where numbers
+are due, and fractions where integers are.
 """
 from __future__ import annotations
 
@@ -12,10 +14,8 @@ import numpy as np
 from .core import Assignment, SnnInstance, make_instance
 from .graphs import CompatGraph, _as_int
 from .metric import EuclideanSpace, LatticeBox, MatrixSpace
-from .zeroext import ZeroExtInstance
 
 INSTANCE_SCHEMA = "snn-instance/1"
-ZEROEXT_SCHEMA = "zero-extension-instance/1"
 ASSIGNMENT_SCHEMA = "snn-assignment/1"
 GAP_SCHEMA = "pruning-report/1"
 
@@ -28,12 +28,22 @@ def _space_to_dict(space) -> dict:
     raise TypeError(f"cannot serialize space {space!r}")
 
 
+def _numbers(obj, what: str) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array."""
+    a = np.asarray(obj, dtype=object)
+    if not all(type(v) in (int, float) for v in a.reshape(-1)):
+        raise ValueError(f"{what} must be numbers")
+    return a.astype(float)
+
+
 def _space_from_dict(d: dict):
+    if not isinstance(d, dict):
+        raise ValueError("space must be an object")
     kind = d.get("kind")
     if kind == "euclidean":
         return EuclideanSpace(_as_int(d["dim"], "dim"))
     if kind in ("explicit-matrix", "graph-shortest-path"):
-        return MatrixSpace(np.asarray(d["matrix"], dtype=float), kind=kind)
+        return MatrixSpace(_numbers(d["matrix"], "distances"), kind=kind)
     raise ValueError(f"unknown space kind {kind!r}")
 
 
@@ -51,7 +61,7 @@ def _points_from_list(space, obj):
         spec = obj["lattice"]
         return LatticeBox(*(_as_int(spec[f], f"lattice {f}") for f in ("lo", "hi", "dim")))
     if isinstance(space, EuclideanSpace):
-        return np.asarray(obj, dtype=float)
+        return _numbers(obj, "coordinates")
     return np.array([_as_int(v, "point id") for v in obj], dtype=np.int64)
 
 
@@ -75,28 +85,8 @@ def instance_from_dict(d: dict) -> SnnInstance:
     queries = _points_from_list(space, d["queries"])
     k = len(queries)
     graph = CompatGraph.from_pairs(k, d.get("edges", []))
-    return make_instance(space, labels, queries, graph,
-                         kappa=d.get("kappa"), lam=d.get("lambda"))
-
-
-def zeroext_to_dict(z: ZeroExtInstance) -> dict:
-    return {
-        "schema": ZEROEXT_SCHEMA,
-        "space": _space_to_dict(z.space),
-        "terminals": _points_to_list(z.space, z.terminal_points),
-        "n_free": z.n_free,
-        "edges": z.edges.tolist(),
-    }
-
-
-def zeroext_from_dict(d: dict) -> ZeroExtInstance:
-    if d.get("schema") != ZEROEXT_SCHEMA:
-        raise ValueError(f"expected schema {ZEROEXT_SCHEMA}, got {d.get('schema')!r}")
-    space = _space_from_dict(d["space"])
-    terms = _points_from_list(space, d["terminals"])
-    return ZeroExtInstance(space=space, terminal_points=terms,
-                           n_free=_as_int(d["n_free"], "n_free"),
-                           edges=np.asarray(d.get("edges", []), dtype=float).reshape(-1, 3))
+    kappa, lam = (_numbers(d[f], f) if f in d else None for f in ("kappa", "lambda"))
+    return make_instance(space, labels, queries, graph, kappa=kappa, lam=lam)
 
 
 def assignment_to_dict(a: Assignment, meta: dict | None = None) -> dict:

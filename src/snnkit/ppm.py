@@ -1,8 +1,9 @@
 """Binary PPM (P6) image IO, maxval 255 only.
 
-Header parsing tolerates `#` comments and arbitrary whitespace, as the
-format allows; the magic must be exactly `P6` and every number plain ASCII
-digits.  Anything that is not an 8-bit binary RGB PPM is rejected.
+The file must begin with exactly `P6`.  Past the magic, header parsing
+tolerates `#` comments and arbitrary whitespace, as the format allows, and
+every number must be plain ASCII digits.  Anything that is not an 8-bit
+binary RGB PPM is rejected.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ def load_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
         data = f.read()
     toks, offset = _tokens(data, 4)
-    if toks[0] != b"P6":
+    if not data.startswith(b"P6") or toks[0] != b"P6":
         raise PpmFormatError("not a binary PPM (P6) file")
     try:
         if not all(t.isdigit() for t in toks[1:]):   # ASCII decimal digits only

@@ -45,8 +45,8 @@ def _require_unweighted(inst: SnnInstance, what: str):
                          "(edge multiplicities are fine)")
 
 
-def sparse_assign(inst: SnnInstance, optimal: Assignment,
-                  nn_idx=None) -> tuple[Assignment, list[DesignatedChoice]]:
+def sparse_assign(inst: SnnInstance,
+                  optimal: Assignment) -> tuple[Assignment, list[DesignatedChoice]]:
     """Round a labeling so every query uses some query's nearest label.
 
     For each query i, over candidates j in {i} + neighbors(i), score
@@ -58,9 +58,7 @@ def sparse_assign(inst: SnnInstance, optimal: Assignment,
     _require_unweighted(inst, "sparse_assign")
     if not inst.has_explicit_labels:
         raise TypeError("sparse_assign needs an explicit label set")
-    if nn_idx is None:
-        nn_idx = nn_label_map(inst)
-    nn_idx = np.asarray(nn_idx, dtype=np.int64)
+    nn_idx = nn_label_map(inst)
     opt_pts = np.asarray(optimal.points)
     if len(opt_pts) != inst.k:
         raise ValueError("optimal labeling must cover all queries")

@@ -83,16 +83,16 @@ def zero_ext_cost(z: ZeroExtInstance, mapping) -> float:
     return float(np.sum(z.edges[:, 2] * dt[f[u], f[v]]))
 
 
-def zero_ext_exact(z: ZeroExtInstance, guard: int = DEFAULT_GUARD) -> tuple[np.ndarray, float]:
+def zero_ext_exact(z: ZeroExtInstance) -> tuple[np.ndarray, float]:
     """Exact 0-extension by enumeration over T^F mappings of free vertices.
 
     Ties go to the lexicographically smallest tuple of terminal slots (free
     vertices in id order).
     """
     t, fcnt = z.n_terminals, z.n_free
-    if t ** fcnt > guard:
+    if t ** fcnt > DEFAULT_GUARD:
         raise GuardExceededError(
-            f"enumeration over {t}^{fcnt} mappings exceeds guard {guard}")
+            f"enumeration over {t}^{fcnt} mappings exceeds guard {DEFAULT_GUARD}")
     dt = z.terminal_dists()
 
     # terminal-terminal edges are a constant, terminal-free edges unary costs
@@ -119,7 +119,7 @@ def zero_ext_exact(z: ZeroExtInstance, guard: int = DEFAULT_GUARD) -> tuple[np.n
     return np.concatenate([np.arange(t, dtype=np.int64), digits]), best + const
 
 
-def snn_to_zero_extension(inst: SnnInstance, nn_idx=None) -> ZeroExtInstance:
+def snn_to_zero_extension(inst: SnnInstance) -> ZeroExtInstance:
     """Reduce an unweighted joint-labeling instance to 0-extension.
 
     Labels become terminals, queries free vertices.  Compatibility edges are
@@ -131,9 +131,7 @@ def snn_to_zero_extension(inst: SnnInstance, nn_idx=None) -> ZeroExtInstance:
         raise ValueError("the reduction is stated for unit kappa/lambda weights")
     if not inst.has_explicit_labels:
         raise TypeError("the reduction needs an explicit label set")
-    if nn_idx is None:
-        nn_idx = nn_label_map(inst)
-    nn_idx = np.asarray(nn_idx, dtype=np.int64)
+    nn_idx = nn_label_map(inst)
     t = len(inst.labels)
     rows = []
     for i, j, mult in inst.graph.edges:

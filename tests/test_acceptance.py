@@ -16,7 +16,7 @@ from snnkit.core import brute_force_opt, cost, pruning_gap
 from snnkit.denoise import NoiseConfig, pixel_gap_experiment
 from snnkit.exact import bb_opt
 from snnkit.generators import cartoon_fixture
-from snnkit.inn import Stage2Solver, inn_solve, pruned_label_set
+from snnkit.inn import inn_solve, pruned_label_set
 from snnkit.io import load_instance
 from snnkit.lowerbound import (LowerBoundParams, build_lower_bound_instance,
                                default_multiplicity)
@@ -175,7 +175,7 @@ def test_criterion_6_oracle_self_consistency(sweep):
     insts += [load_instance(p) for p in FIXTURES]
     for inst in insts:
         want = brute_force_opt(inst, allowed=pruned_label_set(inst).label_idx)
-        got = inn_solve(inst, Stage2Solver(kind="exact"))
+        got = inn_solve(inst, "exact")
         max_delta = max(max_delta, abs(want.total - got.total))
         checked += 1
     ok = max_delta <= TOL

@@ -169,6 +169,16 @@ def test_fractional_edge_endpoint_exits_2(inst_path, tmp_path, capsys):
     assert "edge endpoint must be an integer" in capsys.readouterr().err
 
 
+def test_boolean_coordinates_and_weights_exit_2(tmp_path, capsys):
+    doc = {"schema": "snn-instance/1", "space": {"kind": "euclidean", "dim": 1},
+           "labels": [[0.0], [True]], "queries": [[False], [2.0]], "edges": [[0, 1]],
+           "kappa": [True, 1], "lambda": [True]}
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps(doc))
+    assert main(["solve", str(p)]) == 2
+    assert "must be numbers" in capsys.readouterr().err
+
+
 def test_denoise_full_prints_the_lower_bound(capsys):
     assert main(["denoise", "fixture", "--space", "full", "--noise", "none"]) == 0
     assert "certified lower bound on the cube optimum" in capsys.readouterr().out

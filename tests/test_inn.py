@@ -6,8 +6,9 @@ import pytest
 from snnkit.core import brute_force_opt, cost, make_instance
 from snnkit.generators import random_instance
 from snnkit.graphs import grid_graph
-from snnkit.inn import Stage2Solver, inn_solve, pruned_label_set
+from snnkit.inn import inn_solve, pruned_label_set
 from snnkit.metric import EuclideanSpace, LatticeBox, MatrixSpace
+from snnkit.nn import lattice_nn_map
 
 
 def test_pruned_label_set_distinct_nearest():
@@ -15,7 +16,7 @@ def test_pruned_label_set_distinct_nearest():
     inst = make_instance(sp, np.array([[0.0], [5.0], [10.0]]),
                          np.array([[1.0], [0.5], [9.0]]), edges=[(0, 1), (1, 2)])
     pl = pruned_label_set(inst)
-    assert pl.nn_idx.tolist() == [0, 0, 2]
+    assert pl.label_idx[pl.nn_pos].tolist() == [0, 0, 2]
     assert pl.label_idx.tolist() == [0, 2]
     assert pl.label_points.tolist() == [[0.0], [10.0]]
 
@@ -24,7 +25,7 @@ def test_inn_exact_equals_restricted_brute_force(sweep):
     for item in sweep.items[:100]:
         pl = pruned_label_set(item.inst)
         want = brute_force_opt(item.inst, allowed=pl.label_idx)
-        got = inn_solve(item.inst, Stage2Solver(kind="exact"))
+        got = inn_solve(item.inst, "exact")
         assert got.total == pytest.approx(want.total, abs=1e-9)
 
 
@@ -33,7 +34,7 @@ def test_inn_auto_uses_exact_on_small_instances():
     for _ in range(40):
         inst = random_instance(rng)
         auto = inn_solve(inst)
-        exact = inn_solve(inst, Stage2Solver(kind="exact"))
+        exact = inn_solve(inst, "exact")
         assert auto.total == pytest.approx(exact.total, abs=1e-9)
 
 
@@ -42,7 +43,7 @@ def test_inn_heuristic_labels_stay_in_pruned_set():
     for kind in ("icm", "rplus"):
         for _ in range(15):
             inst = random_instance(rng)
-            a = inn_solve(inst, Stage2Solver(kind=kind))
+            a = inn_solve(inst, kind)
             pl = pruned_label_set(inst)
             assert set(int(i) for i in a.idx) <= set(int(i) for i in pl.label_idx)
             assert cost(inst, a.idx).total == pytest.approx(a.total, abs=1e-9)
@@ -50,7 +51,7 @@ def test_inn_heuristic_labels_stay_in_pruned_set():
 
 def test_inn_solution_never_beats_full_opt(sweep):
     for item in sweep.items[:100]:
-        a = inn_solve(item.inst, Stage2Solver(kind="exact"))
+        a = inn_solve(item.inst, "exact")
         assert a.total >= item.opt.total - 1e-9
 
 
@@ -61,9 +62,10 @@ def test_lattice_pruned_labels_are_sorted_and_indexed_by_nn_pos(lo, hi, dim):
     inst = make_instance(EuclideanSpace(dim), LatticeBox(lo, hi, dim), queries)
     pl = pruned_label_set(inst)
     pts = pl.label_points
-    assert np.array_equal(pts[pl.nn_pos], pl.nn_points)
+    nn = lattice_nn_map(inst.labels, queries)
+    assert np.array_equal(pts[pl.nn_pos], nn)
     # distinct and in lexicographic order
-    assert [tuple(p) for p in pts.tolist()] == sorted({tuple(p) for p in pl.nn_points.tolist()})
+    assert [tuple(p) for p in pts.tolist()] == sorted({tuple(p) for p in nn.tolist()})
 
 
 def test_inn_lattice_instance():
@@ -91,7 +93,7 @@ def test_inn_auto_beyond_exact_range_on_a_matrix_metric():
 
 
 def test_stage2_solver_validation():
-    with pytest.raises(ValueError):
-        Stage2Solver(kind="simulated-annealing")
-    with pytest.raises(ValueError):
-        Stage2Solver(kind="tree")
+    inst = random_instance(np.random.default_rng(0))
+    for kind in ("simulated-annealing", "tree"):
+        with pytest.raises(ValueError, match="unknown stage-2 solver"):
+            inn_solve(inst, kind)

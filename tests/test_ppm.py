@@ -61,6 +61,15 @@ def test_rejects_what_is_not_p6(tmp_path, header):
         load_ppm(p)
 
 
+@pytest.mark.parametrize("prefix", [b"\t", b" ", b"\n", b"#c\n"],
+                         ids=["tab", "space", "newline", "comment"])
+def test_rejects_bytes_before_the_magic(tmp_path, prefix):
+    p = tmp_path / "a.ppm"
+    p.write_bytes(prefix + b"P6\n1 1\n255\n" + bytes(3))
+    with pytest.raises(PpmFormatError):
+        load_ppm(p)
+
+
 _SPACE = st.text(" \t\n\r\v\f", min_size=1, max_size=3).map(str.encode)
 _COMMENT = st.tuples(st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6),
                      st.sampled_from("\n\r")).map(lambda t: ("#" + t[0] + t[1]).encode())

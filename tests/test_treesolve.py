@@ -11,7 +11,7 @@ from snnkit.core import brute_force_opt, cost, cost_points, make_instance, nn_la
 from snnkit.denoise import NoiseConfig, add_noise, pixel_instance
 from snnkit.generators import cartoon_fixture, random_instance
 from snnkit.graphs import CompatGraph, grid_graph
-from snnkit.inn import Stage2Solver, inn_solve, pruned_label_set
+from snnkit.inn import inn_solve, pruned_label_set
 from snnkit.metric import EuclideanSpace, LatticeBox, MatrixSpace
 from snnkit.nn import NnIndex, lattice_nn_map
 from snnkit.treemetric import build_tree_metric
@@ -19,7 +19,7 @@ from snnkit.treesolve import euclidean_refine, relax
 
 
 def icm(inst):
-    return inn_solve(inst, Stage2Solver(kind="icm"))
+    return inn_solve(inst, "icm")
 
 
 def euclidean_only(rng, **kw):
@@ -322,13 +322,15 @@ def test_refine_never_costs_more_than_the_rounded_relaxation():
 
 
 def nearest_label_start(inst):
-    """Stage-1 nearest-label map as ids into the pruned set, and that set."""
+    """Stage-1 nearest-label map as ids into the pruned set, that set, and
+    the map's label points."""
     pl = pruned_label_set(inst)
+    nn = nn_label_map(inst)
     if inst.has_explicit_labels:
         ids = pl.label_idx.tolist()
-        return np.array([ids.index(i) for i in pl.nn_idx.tolist()]), pl
+        return np.array([ids.index(i) for i in nn.tolist()]), pl, inst.labels[nn]
     rows = [tuple(p) for p in pl.label_points.tolist()]
-    return np.array([rows.index(tuple(p)) for p in pl.nn_points.tolist()]), pl
+    return np.array([rows.index(tuple(p)) for p in nn.tolist()]), pl, nn
 
 
 def lattice_instance(rng):
@@ -341,8 +343,8 @@ def test_icm_is_refine_from_the_pruned_nearest_label_map():
     rng = np.random.default_rng(15)
     for t in range(50):
         inst = lattice_instance(rng) if t % 5 == 0 else random_instance(rng, max_queries=10)
-        start, pl = nearest_label_start(inst)
-        assert (pl.label_points[start] == pl.nn_points).all()
+        start, pl, near = nearest_label_start(inst)
+        assert (pl.label_points[start] == near).all()
         want = euclidean_refine(replace(inst, labels=pl.label_points), start)
         got = icm(inst)
         assert (got.points == want.points).all()

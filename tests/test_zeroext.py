@@ -117,3 +117,22 @@ def test_non_finite_input_is_refused(bad):
     with pytest.raises(ValueError, match="finite"):
         ZeroExtInstance(space=sp, terminal_points=np.array([[0.0, bad], [1.0, 1.0]]),
                         n_free=1, edges=np.array([[0, 2, 1.0]]))
+
+
+def test_instance_rebuilt_from_plain_lists_keeps_its_costs():
+    inst = make_instance(EuclideanSpace(1), np.array([[0.0], [10.0]]),
+                         np.array([[1.0], [9.0]]), edges=[(0, 1)])
+    z = snn_to_zero_extension(inst)
+    back = ZeroExtInstance(space=z.space, terminal_points=z.terminal_points.tolist(),
+                           n_free=z.n_free, edges=z.edges.tolist())
+    assert (back.terminal_points == z.terminal_points).all()
+    assert (back.edges == z.edges).all()
+    f = [0, 1, 0, 0]
+    assert zero_ext_cost(back, f) == zero_ext_cost(z, f) == 10.0
+
+
+@pytest.mark.parametrize("edge", [[0.5, 2, 1.0], [0, 2.5, 1.0]], ids=["u", "v"])
+def test_non_integer_endpoints_are_refused(edge):
+    with pytest.raises(ValueError, match="must be integers"):
+        ZeroExtInstance(space=EuclideanSpace(1), terminal_points=[[0.0], [1.0]], n_free=1,
+                        edges=[edge])
