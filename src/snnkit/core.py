@@ -243,8 +243,8 @@ def _shared_scorer(unary, dist):
 
     Labels are dense ids 0..S-1.  unary(rows) gives the (rows, S) unary
     costs and dist(u) the (S, len(u)) distances from every label to the
-    labels u.  Neighbor weights are gathered per distinct neighbor label,
-    then priced in one product.
+    labels u.  Neighbor weights are gathered per distinct neighbor label u
+    of the rows scored, then priced in one product.
     """
     def score(cur, rows, li, nd, nw):
         s = unary(rows)
@@ -271,8 +271,14 @@ def _icm(cur, classes, src, dst, w, score, passes: int):
     returns (scores, column of each row's current label, candidates); the
     candidates are None when column c is label c, else a (rows, S, ...)
     array of labels.  A row moves to its first best candidate only when
-    that beats its current score by more than _EPS.  Stops after a pass
-    without moves.
+    that beats its current score by more than _EPS.
+
+    Only dirty rows are scored: all rows start dirty, scoring clears a row,
+    and a move makes the row's neighbors dirty.  A row's scores depend only
+    on its unary row and its neighbors' labels, so a clean row would repeat
+    its last decision, which left it at a best label or without a gain
+    above _EPS.  A class without dirty rows is skipped, and the passes stop
+    when no row is dirty, at the latest after a pass without moves.
     """
     classes = [rows for rows in classes if len(rows)]
     cls = np.full(len(cur), -1, dtype=np.int64)
@@ -287,18 +293,25 @@ def _icm(cur, classes, src, dst, w, score, passes: int):
     for c, rows in enumerate(classes):
         e = order[cut[c]:cut[c + 1]]
         parts.append((rows, local[src[e]], dst[e], w[e]))
+    dirty = np.ones(len(cur), dtype=bool)
     for _ in range(passes):
-        changed = False
+        if not dirty.any():
+            break
         for rows, li, nd, nw in parts:
+            keep = dirty[rows]
+            if not keep.any():
+                continue
+            if not keep.all():  # the dirty rows, and their edges in order
+                e = keep[li]
+                rows, li, nd, nw = rows[keep], (np.cumsum(keep) - 1)[li[e]], nd[e], nw[e]
+            dirty[rows] = False
             s, now, cand = score(cur, rows, li, nd, nw)
             r = np.arange(len(rows))
             best = np.argmin(s, axis=1)
             move = s[r, best] < s[r, now] - _EPS
             if move.any():
                 cur[rows[move]] = best[move] if cand is None else cand[r[move], best[move]]
-                changed = True
-        if not changed:
-            break
+                dirty[nd[move[li]]] = True
     return cur
 
 

@@ -292,6 +292,59 @@ def icm(dist, queries, labels, edges, kappa, lam, start, passes=10, eps=1e-12):
     return cur
 
 
+def lattice_icm(queries, lo, hi, edges, kappa, lam, start, passes=10, eps=1e-12):
+    """Iterated conditional modes over the integer box {lo..hi}^dim, with a
+    few candidates per query.
+
+    Parallel edges (i, j, mult), i < j, are collapsed into one weight per
+    vertex pair.  A query's edges are the collapsed pairs in sorted order,
+    first those where it is the smaller endpoint, then those where it is the
+    larger.  Its candidates are its own colour rounded into the box, its
+    current label, then its neighbours' labels in edge order; a candidate's
+    score adds its weighted distances in that edge order.  Classes, the
+    first-best rule and eps are those of icm.  Returns the label points.
+    """
+    k = len(queries)
+    weight = {}
+    for e, (i, j, mult) in enumerate(edges):
+        key = (int(i), int(j))
+        weight[key] = weight.get(key, 0.0) + float(lam[e]) * int(mult)
+    pairs = sorted(weight.items())
+    nbrs = [[] for _ in range(k)]
+    for (i, j), w in pairs:
+        nbrs[i].append((j, w))
+    for (i, j), w in pairs:
+        nbrs[j].append((i, w))
+    color = two_coloring(k, edges)
+    if color is None:
+        classes = [[i] for i in range(k)]
+    else:
+        classes = [[i for i in range(k) if color[i] == c] for c in (0, 1)]
+    cur = [[int(c) for c in p] for p in start]
+    for _ in range(passes):
+        changed = False
+        for rows in classes:
+            moves = {}
+            for i in rows:
+                cands = [lattice_nearest_point(lo, hi, queries[i]), cur[i]]
+                cands += [cur[j] for j, _ in nbrs[i]]
+                scores = []
+                for p in cands:
+                    s = float(kappa[i]) * euclid(queries[i], p)
+                    for j, w in nbrs[i]:
+                        s += w * euclid(p, cur[j])
+                    scores.append(s)
+                best = min(range(len(cands)), key=lambda t: (scores[t], t))
+                if scores[best] < scores[1] - eps:
+                    moves[i] = list(cands[best])
+            for i, p in moves.items():
+                cur[i] = p
+                changed = True
+        if not changed:
+            break
+    return cur
+
+
 def relax(queries, lo, hi, edges, kappa, lam, iters):
     """Chambolle-Pock primal iterate for min sum_i kappa_i |x_i - q_i| +
     sum_e w_e |x_i - x_j| over the box [lo, hi]^dim.

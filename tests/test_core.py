@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import space_dist
-from oracles import enum_opt
-from snnkit.core import (GuardExceededError, brute_force_opt, cost,
-                         cost_points, make_instance, nn_label_map,
-                         pruning_gap, unique_rows)
+from oracles import enum_opt, euclid, icm, neighbor_lists
+from snnkit.core import (GuardExceededError, _classes, _collapsed, _directed, _icm,
+                         _shared_scorer, brute_force_opt, cost, cost_points,
+                         make_instance, nn_label_map, pruning_gap, unique_rows)
 from snnkit.denoise import NoiseConfig, add_noise, pixel_instance
 from snnkit.generators import random_instance
+from snnkit.graphs import grid_graph
 from snnkit.metric import EuclideanSpace, LatticeBox
 
 
@@ -204,3 +205,51 @@ def test_unique_rows_matches_numpy_unique(a):
     assert np.array_equal(first, want_first)
     assert np.array_equal(inverse, want_inverse.reshape(-1))
     assert np.array_equal(rows[inverse], a)
+
+
+def test_icm_scores_only_rows_whose_neighbours_moved():
+    # a seeded 12x10 grid over 6 labels on a line, from a random start
+    rng = np.random.default_rng(5)
+    graph = grid_graph(12, 10)
+    k = graph.n
+    labels, queries = rng.uniform(0, 10, size=(6, 1)), rng.uniform(0, 10, size=(k, 1))
+    inst = make_instance(EuclideanSpace(1), labels, queries, graph)
+    start = rng.integers(0, len(labels), size=k)
+    d_nn, d_lab = inst.space.cross(queries, labels), inst.space.cross(labels, labels)
+    score = _shared_scorer(lambda rows: d_nn[rows], lambda u: d_lab[:, u])
+    calls = []
+
+    def counting(cur, rows, li, nd, nw):
+        calls.append((rows.copy(), cur.copy()))
+        return score(cur, rows, li, nd, nw)
+
+    classes = _classes(graph.two_coloring(), np.arange(k))
+    got = _icm(start.copy(), classes, *_directed(*_collapsed(inst)), counting, passes=10)
+    want = icm(euclid, queries.tolist(), labels.tolist(), graph.edges.tolist(),
+               inst.kappa, inst.lam, start.tolist())
+    assert got.tolist() == want
+
+    # replay the passes: a class scores the rows not scored since a neighbour
+    # last moved, and is skipped when there are none
+    nbrs = neighbor_lists(k, graph.edges.tolist())
+    labelings = [cur for _, cur in calls] + [got]
+    due = np.ones(k, dtype=bool)
+    n = 0
+    for passes in range(1, 11):
+        moved_in_pass = False
+        for cls in classes:
+            if not due[cls].any():
+                continue
+            rows = calls[n][0]
+            assert rows.tolist() == cls[due[cls]].tolist()
+            due[rows] = False
+            moved = np.flatnonzero(labelings[n + 1] != labelings[n])
+            assert np.isin(moved, rows).all()
+            for v in moved:
+                due[nbrs[v]] = True
+            moved_in_pass |= len(moved) > 0
+            n += 1
+        if not moved_in_pass:
+            break
+    assert n == len(calls)
+    assert passes > 2 and sum(len(r) for r, _ in calls) < (passes - 1) * k

@@ -115,12 +115,17 @@ def test_refine_ends_where_no_single_move_helps(graph, bipartite):
                 assert cost(inst, moved).total >= a.total - 1e-9
 
 
-@pytest.mark.parametrize("rows", [
-    grid_graph(4, 3).edges.tolist() + [[1, 2, 2], [5, 9, 1]],
-    [[i, i + 1, 1] for i in range(4)] + [[0, 4, 1], [1, 2, 3]],
-], ids=["grid4x3", "cycle5"])
-def test_refine_matches_the_loop_icm_oracle(rows):
-    # parallel rows exercise collapsed weights; repeated label points, ties
+# the bipartite and the one-at-a-time ICM under pass caps; parallel rows
+# exercise collapsed weights.  The 10-pass cases keep the bare graph ids.
+ICM_CASES = [pytest.param(rows, passes, id=name if passes == 10 else f"{name}-{passes}pass")
+             for passes in (1, 2, 10) for name, rows in (
+                 ("grid4x3", grid_graph(4, 3).edges.tolist() + [[1, 2, 2], [5, 9, 1]]),
+                 ("cycle5", [[i, i + 1, 1] for i in range(4)] + [[0, 4, 1], [1, 2, 3]]))]
+
+
+@pytest.mark.parametrize("rows, passes", ICM_CASES)
+def test_refine_matches_the_loop_icm_oracle(rows, passes):
+    # repeated label points make ties
     graph = CompatGraph(1 + max(max(r[:2]) for r in rows), np.array(rows))
     k = graph.n
     rng = np.random.default_rng(44)
@@ -133,8 +138,27 @@ def test_refine_matches_the_loop_icm_oracle(rows):
         inst = make_instance(EuclideanSpace(2), labels, queries, graph, kappa=kappa, lam=lam)
         start = rng.integers(0, len(labels), size=k)
         want = oracles.icm(oracles.euclid, queries.tolist(), labels.tolist(), rows,
-                           kappa, lam, start.tolist())
-        assert euclidean_refine(inst, start).idx.tolist() == want
+                           kappa, lam, start.tolist(), passes=passes)
+        assert euclidean_refine(inst, start, passes=passes).idx.tolist() == want
+
+
+@pytest.mark.parametrize("rows, passes", ICM_CASES)
+def test_lattice_refine_matches_the_loop_oracle(rows, passes):
+    # queries partly off the box; starts anywhere in it
+    graph = CompatGraph(1 + max(max(r[:2]) for r in rows), np.array(rows))
+    k = graph.n
+    rng = np.random.default_rng(45)
+    for _ in range(30):
+        dim = int(rng.integers(1, 4))
+        box = LatticeBox(0, int(rng.integers(1, 8)), dim)
+        queries = rng.uniform(-1.0, box.hi + 1.0, size=(k, dim))
+        kappa = rng.uniform(0.2, 2.0, size=k)
+        lam = rng.uniform(0.2, 3.0, size=graph.num_entries)
+        inst = make_instance(EuclideanSpace(dim), box, queries, graph, kappa=kappa, lam=lam)
+        start = rng.integers(0, box.hi + 1, size=(k, dim))
+        want = oracles.lattice_icm(queries.tolist(), box.lo, box.hi, rows, kappa, lam,
+                                   start.tolist(), passes=passes)
+        assert euclidean_refine(inst, start, passes=passes).points.tolist() == want
 
 
 def test_refine_fixes_an_obvious_mistake():
