@@ -2,7 +2,7 @@
 
 Subcommands: solve, oracle, gap, rplus, lowerbound, denoise,
 denoise-patches.  IO and validation failures exit with status 2, exceeded
-enumeration guards with status 3.
+enumeration guards and branch-and-bound node budgets with status 3.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from . import io as sio
 from .core import GuardExceededError, brute_force_opt, pruning_gap
 from .denoise import (NoiseConfig, add_noise, denoise_patches, denoise_pixels,
                       pixel_gap_experiment)
+from .exact import NodeBudgetExceeded, bb_opt
 from .generators import cartoon_fixture
 from .graphs import orient_edges
 from .inn import KINDS, inn_solve, pruned_label_set
@@ -23,6 +24,8 @@ from .ppm import PpmFormatError, load_ppm, save_ppm
 from .sparse import rplus_solve
 
 DEFAULT_SEED = 42
+# branch-and-bound budget of the exact alpha in `lowerbound`
+_NODE_BUDGET = 2_000_000
 
 
 def _write_or_print(doc: dict, out: str | None):
@@ -88,9 +91,9 @@ def cmd_lowerbound(args) -> int:
           f"edge_instances={inst.graph.num_instances}")
     print(f"attachment labeling cost: {attachment_cost(params):.1f}")
     if params.k <= 8:
-        rep = pruning_gap(inst)
-        print(f"exact alpha: {rep.alpha:.6f} "
-              f"(opt {rep.opt_full:.1f} -> pruned {rep.opt_pruned:.1f})")
+        full = bb_opt(inst, node_budget=_NODE_BUDGET).total
+        pruned = bb_opt(inst, pruned_label_set(inst).label_idx, _NODE_BUDGET).total
+        print(f"exact alpha: {pruned / full:.6f} (opt {full:.1f} -> pruned {pruned:.1f})")
     if args.out:
         sio.save_instance(args.out, inst)
         print(f"wrote {args.out}")
@@ -207,7 +210,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GuardExceededError as e:
+    except (GuardExceededError, NodeBudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (PpmFormatError, json.JSONDecodeError) as e:

@@ -125,7 +125,7 @@ class Assignment:
     idx: Optional[np.ndarray] = None
 
 
-def evaluate(space, queries, graph: CompatGraph, kappa, lam, label_points) -> tuple[float, float]:
+def _evaluate(space, queries, graph: CompatGraph, kappa, lam, label_points) -> tuple[float, float]:
     """Cost split (nn, pairwise) of labeling query i with label_points[i]."""
     pts = np.asarray(label_points)
     if len(pts) != len(queries):
@@ -150,7 +150,7 @@ def cost(inst: SnnInstance, label_idx) -> Assignment:
     if idx.min() < 0 or idx.max() >= len(inst.labels):
         raise ValueError("label id out of range")
     pts = inst.labels[idx]
-    nn, pw = evaluate(inst.space, inst.queries, inst.graph, inst.kappa, inst.lam, pts)
+    nn, pw = _evaluate(inst.space, inst.queries, inst.graph, inst.kappa, inst.lam, pts)
     return Assignment(points=pts, nn_cost=nn, pw_cost=pw, total=nn + pw, idx=idx)
 
 
@@ -159,7 +159,7 @@ def cost_points(inst: SnnInstance, points) -> Assignment:
     pts = np.asarray(points)
     if isinstance(inst.labels, LatticeBox) and not inst.labels.contains(pts):
         raise ValueError("labeling leaves the lattice label box")
-    nn, pw = evaluate(inst.space, inst.queries, inst.graph, inst.kappa, inst.lam, pts)
+    nn, pw = _evaluate(inst.space, inst.queries, inst.graph, inst.kappa, inst.lam, pts)
     return Assignment(points=pts, nn_cost=nn, pw_cost=pw, total=nn + pw, idx=None)
 
 
@@ -315,26 +315,27 @@ def _icm(cur, classes, src, dst, w, score, passes: int):
     return cur
 
 
-def brute_force_opt(inst: SnnInstance, allowed=None, guard: int = DEFAULT_GUARD) -> Assignment:
+def brute_force_opt(inst: SnnInstance, allowed=None) -> Assignment:
     """Exact optimum by enumeration over allowed^k labelings.
 
-    Refuses to enumerate more than `guard` states.  Ties are broken toward
+    Refuses to enumerate more than DEFAULT_GUARD states.  Ties are broken toward
     the lexicographically smallest tuple of label ids (queries in order,
     allowed ids ascending).
     """
     k = inst.k
     if isinstance(inst.labels, LatticeBox):
         box = inst.labels
-        if box.size ** k > guard:
+        if box.size ** k > DEFAULT_GUARD:
             raise GuardExceededError(
-                f"enumeration over {box.size}^{k} assignments exceeds guard {guard}")
+                f"enumeration over {box.size}^{k} assignments exceeds guard {DEFAULT_GUARD}")
         # tiny box: enumerate over an explicit copy of its points
         sub = replace(inst, labels=box.all_points().astype(float))
-        return replace(brute_force_opt(sub, allowed=allowed, guard=guard), idx=None)
+        return replace(brute_force_opt(sub, allowed=allowed), idx=None)
     ids = _explicit_allowed(inst, allowed)
     L = len(ids)
-    if L ** k > guard:
-        raise GuardExceededError(f"enumeration over {L}^{k} assignments exceeds guard {guard}")
+    if L ** k > DEFAULT_GUARD:
+        raise GuardExceededError(
+            f"enumeration over {L}^{k} assignments exceeds guard {DEFAULT_GUARD}")
 
     pts = inst.labels[ids]
     e = inst.graph.edges

@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import (Assignment, DEFAULT_GUARD, SnnInstance, brute_force_opt, cost,
                    nn_label_map, unique_rows)
-from .graphs import orient_edges
 from .metric import LatticeBox
 from .nn import NnIndex
 from .sparse import rplus_solve
@@ -96,7 +95,7 @@ def inn_solve(inst: SnnInstance, kind: str = "auto") -> Assignment:
     elif kind == "icm":
         a = euclidean_refine(sub, _icm_start(inst, sub, pl))
     else:  # rplus
-        a = rplus_solve(sub, orient_edges(inst.graph))
+        a = rplus_solve(sub)
     if inst.has_explicit_labels:
         return replace(a, idx=pl.label_idx[a.idx])
     return replace(a, idx=None)

@@ -6,8 +6,8 @@ form via all-pairs shortest paths, so downstream code only ever sees the
 two representations.
 
 Points in a Euclidean space are coordinate arrays of shape (d,); points in
-a matrix space are integer ids indexing the matrix.  Batch helpers accept
-stacked arrays and return vectorized distances.
+a matrix space are integer ids indexing the matrix.  Distances come in
+batches only: `between` pairs two stacks row by row, `cross` takes all pairs.
 """
 from __future__ import annotations
 
@@ -33,12 +33,6 @@ class EuclideanSpace:
         if a.shape[-1] != self.dim:
             raise ValueError(f"expected points of dimension {self.dim}, got shape {a.shape}")
         return a
-
-    def dist(self, a, b) -> float:
-        pa, pb = self._coords(a), self._coords(b)
-        if pa.ndim != 1 or pb.ndim != 1:
-            raise ValueError("dist takes single points; use between/cross for batches")
-        return float(np.linalg.norm(pa - pb))
 
     def between(self, A, B) -> np.ndarray:
         """Row-wise distances between two equal-length stacks of points."""
@@ -90,9 +84,6 @@ class MatrixSpace:
         if a.size and (a.min() < 0 or a.max() >= self.n):
             raise ValueError(f"point id out of range [0, {self.n})")
         return a
-
-    def dist(self, a, b) -> float:
-        return float(self.matrix[int(self._ids(a)), int(self._ids(b))])
 
     def between(self, A, B) -> np.ndarray:
         return self.matrix[self._ids(A), self._ids(B)]

@@ -14,29 +14,10 @@ multiplicities):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Assignment, SnnInstance, _explicit_allowed, cost, nn_label_map
 from .graphs import Orientation, orient_edges
-
-
-@dataclass(eq=False)
-class DesignatedChoice:
-    """Trace of one designated-neighbor decision.
-
-    candidates[0] is the query itself, followed by its distinct graph
-    neighbors in ascending id order; chosen_pos indexes into candidates.
-    """
-    query: int
-    candidates: np.ndarray
-    scores: np.ndarray
-    chosen_pos: int
-
-    @property
-    def chosen(self) -> int:
-        return int(self.candidates[self.chosen_pos])
 
 
 def _require_unweighted(inst: SnnInstance, what: str):
@@ -45,15 +26,16 @@ def _require_unweighted(inst: SnnInstance, what: str):
                          "(edge multiplicities are fine)")
 
 
-def sparse_assign(inst: SnnInstance,
-                  optimal: Assignment) -> tuple[Assignment, list[DesignatedChoice]]:
+def sparse_assign(inst: SnnInstance, optimal: Assignment) -> tuple[Assignment, np.ndarray]:
     """Round a labeling so every query uses some query's nearest label.
 
     For each query i, over candidates j in {i} + neighbors(i), score
     d(opt_i, opt_j) + d(opt_j, q_j) and adopt the nearest label of the best
-    scoring candidate (ties to the earliest candidate, the query itself
-    first).  With an optimal input labeling the result is a (4r+3)
-    approximation for any orientation quality r of the graph.
+    scoring candidate (ties to the earliest candidate: the query itself,
+    then its neighbors in ascending id order).  Returns the rounded
+    assignment and designated, where query i takes the nearest label of
+    query designated[i].  With an optimal input labeling the result is a
+    (4r+3) approximation for any orientation quality r of the graph.
     """
     _require_unweighted(inst, "sparse_assign")
     if not inst.has_explicit_labels:
@@ -64,19 +46,14 @@ def sparse_assign(inst: SnnInstance,
         raise ValueError("optimal labeling must cover all queries")
 
     nbrs = inst.graph.neighbor_sets()
-    chosen_idx = np.empty(inst.k, dtype=np.int64)
-    trace = []
+    designated = np.empty(inst.k, dtype=np.int64)
     for i in range(inst.k):
         cand = np.concatenate(([i], nbrs[i]))
         d_pp = inst.space.between(np.broadcast_to(opt_pts[i], opt_pts[cand].shape),
                                   opt_pts[cand])
         d_pq = inst.space.between(opt_pts[cand], inst.queries[cand])
-        scores = d_pp + d_pq
-        pos = int(np.argmin(scores))
-        chosen_idx[i] = nn_idx[cand[pos]]
-        trace.append(DesignatedChoice(query=i, candidates=cand,
-                                      scores=scores, chosen_pos=pos))
-    return cost(inst, chosen_idx), trace
+        designated[i] = cand[np.argmin(d_pp + d_pq)]
+    return cost(inst, nn_idx[designated]), designated
 
 
 def rplus_solve(inst: SnnInstance, orientation: Orientation | None = None,

@@ -26,6 +26,8 @@ from .metric import LatticeBox
 from .nn import lattice_nn_map
 
 _RELAX_ITERS = 400
+# coordinate-descent passes of euclidean_refine
+_PASSES = 10
 # relative rounding allowance taken off the float64 lower bound
 _LB_ROUNDING = 1e-9
 
@@ -148,12 +150,13 @@ def _lattice_scorer(inst: SnnInstance):
     return score
 
 
-def euclidean_refine(inst: SnnInstance, labels, passes: int = 10) -> Assignment:
+def euclidean_refine(inst: SnnInstance, labels) -> Assignment:
     """Improve a labeling by true-objective coordinate descent.
 
     labels: label ids for explicit label sets, in any metric space, and
-    label points for lattice boxes, which need a Euclidean space.  The
-    returned assignment never costs more than the input.
+    label points for lattice boxes, which need a Euclidean space.  Runs at
+    most _PASSES passes, stopping early once no query moves.  The returned
+    assignment never costs more than the input.
     """
     lattice = isinstance(inst.labels, LatticeBox)
     if lattice and inst.space.kind != "euclidean":
@@ -162,11 +165,11 @@ def euclidean_refine(inst: SnnInstance, labels, passes: int = 10) -> Assignment:
     edges = _directed(*_collapsed(inst))
     if lattice:
         pts = np.asarray(labels, dtype=float).copy()
-        _icm(pts, classes, *edges, _lattice_scorer(inst), passes)
+        _icm(pts, classes, *edges, _lattice_scorer(inst), _PASSES)
         return cost_points(inst, pts.astype(np.int64))
     # every row prices the full explicit label set
     Q, pool, kap = inst.queries, inst.labels, inst.kappa
     score = _shared_scorer(lambda rows: kap[rows, None] * inst.space.cross(Q[rows], pool),
                            lambda u: inst.space.cross(pool, pool[u]))
     cur = np.asarray(labels, dtype=np.int64).copy()
-    return cost(inst, _icm(cur, classes, *edges, score, passes))
+    return cost(inst, _icm(cur, classes, *edges, score, _PASSES))

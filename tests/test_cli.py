@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -72,13 +73,42 @@ def test_lowerbound_subcommand(tmp_path, capsys):
     assert main(["gap", str(out)]) == 0
 
 
-def test_readme_cli_examples_parse():
+def test_lowerbound_k8_computes_the_exact_alpha(tmp_path, capsys):
+    # 16^8 labelings exceed the enumeration guard; branch and bound closes
+    out = tmp_path / "hard.json"
+    assert main(["lowerbound", "--k", "8", "-o", str(out)]) == 0
+    assert "exact alpha: 1.444444 (opt 27.0 -> pruned 39.0)" in capsys.readouterr().out
+    assert load_json(out)["schema"] == "snn-instance/1"
+
+
+def test_node_budget_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(snnkit.cli, "_NODE_BUDGET", 1)
+    assert main(["lowerbound", "--k", "4"]) == 3
+    assert "budget of 1 nodes" in capsys.readouterr().err
+
+
+def _readme_cli_lines() -> list[str]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```", 2)[1]
-    lines = [ln.split("#", 1)[0] for ln in block.splitlines() if ln.startswith("snn ")]
+    return [ln.split("#", 1)[0] for ln in block.splitlines() if ln.startswith("snn ")]
+
+
+def test_readme_cli_examples_parse():
+    lines = _readme_cli_lines()
     assert len(lines) >= 5
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # a working directory with the README's inputs, so outputs land there
+    shutil.copytree(Path(__file__).resolve().parent / "fixtures", tmp_path / "tests" / "fixtures")
+    save_ppm(tmp_path / "photo.ppm", cartoon_fixture())
+    monkeypatch.chdir(tmp_path)
+    for line in _readme_cli_lines():
+        assert main(shlex.split(line)[1:]) == 0, line
+    assert {"out.json", "hard.json", "run-denoised.ppm", "run-patched.ppm"} <= \
+        {p.name for p in tmp_path.iterdir()}
 
 
 def test_denoise_single_run(tmp_path, capsys):

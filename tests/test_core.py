@@ -7,9 +7,9 @@ import pytest
 
 from conftest import space_dist
 from oracles import enum_opt, euclid, icm, neighbor_lists
-from snnkit.core import (GuardExceededError, _classes, _collapsed, _directed, _icm,
-                         _shared_scorer, brute_force_opt, cost, cost_points,
-                         make_instance, nn_label_map, pruning_gap, unique_rows)
+from snnkit.core import (DEFAULT_GUARD, GuardExceededError, _classes, _collapsed,
+                         _directed, _icm, _shared_scorer, brute_force_opt, cost,
+                         cost_points, make_instance, nn_label_map, pruning_gap, unique_rows)
 from snnkit.denoise import NoiseConfig, add_noise, pixel_instance
 from snnkit.generators import random_instance
 from snnkit.graphs import grid_graph
@@ -120,8 +120,9 @@ def test_guard_raises():
     labels = np.arange(20, dtype=float)[:, None]
     queries = np.zeros((8, 1))
     inst = make_instance(sp, labels, queries)
-    with pytest.raises(GuardExceededError):
-        brute_force_opt(inst, guard=10 ** 6)
+    assert 20 ** 8 > DEFAULT_GUARD
+    with pytest.raises(GuardExceededError, match=rf"20\^8 .* guard {DEFAULT_GUARD}"):
+        brute_force_opt(inst)
 
 
 @pytest.mark.parametrize("label_space", ["image", "full"])

@@ -15,8 +15,8 @@ def test_euclidean_dist_matches_norm():
     sp = EuclideanSpace(3)
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([4.0, 6.0, 3.0])
-    assert sp.dist(a, b) == pytest.approx(5.0)
-    assert sp.dist(a, a) == 0.0
+    assert sp.between(a, b).tolist() == pytest.approx([5.0])
+    assert sp.between([a, b], [a, b]).tolist() == [0.0, 0.0]
 
 
 def test_euclidean_cross_shape_and_values():
@@ -53,9 +53,9 @@ def test_matrix_space_canonicalizes_tiny_noise():
 def test_matrix_space_rejects_bad_ids():
     sp = MatrixSpace(np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        sp.dist(0, 3)
+        sp.between([0], [3])
     with pytest.raises(ValueError):
-        sp.dist(-1, 0)
+        sp.cross([-1], [0])
 
 
 def test_graph_metric_against_floyd_warshall():
@@ -77,7 +77,7 @@ def test_graph_metric_against_floyd_warshall():
 
 def test_graph_metric_min_accumulates_parallel_edges():
     sp = build_graph_metric(2, [(0, 1, 5.0), (0, 1, 2.0), (1, 0, 9.0)])
-    assert sp.dist(0, 1) == pytest.approx(2.0)
+    assert sp.between([0, 1], [1, 0]).tolist() == pytest.approx([2.0, 2.0])
 
 
 def test_graph_metric_rejects_disconnected():

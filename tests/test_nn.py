@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from conftest import space_dist
 from oracles import lattice_nearest_point
 from snnkit.metric import EuclideanSpace, LatticeBox, MatrixSpace
 from snnkit.nn import NnIndex, lattice_nn_map
 
 
 def brute_nearest(space, points, q):
-    d = [space.dist(q, p) for p in points]
+    d = [space_dist(space)(q, p) for p in points]
     best = min(range(len(d)), key=lambda i: (d[i], i))
     return best
 

@@ -81,17 +81,34 @@ def test_rplus_orientation_default_comes_from_peeling():
 def test_sparse_assign_bounds_and_choice_invariant(sweep):
     for item in sweep.items[:150]:
         inst, opt = item.inst, item.opt
-        a, choices = sparse_assign(inst, opt)
+        a, designated = sparse_assign(inst, opt)
         assert a.nn_cost <= 3 * opt.nn_cost + 1e-9
         assert a.pw_cost <= 4 * opt.pw_cost + 4 * item.r * opt.nn_cost + 1e-9
-        for ch in choices:
-            # designated choice minimises its score row; candidate 0 is the
-            # query itself, the rest are its neighbours in ascending order
-            assert ch.candidates[0] == ch.query
-            assert sorted(ch.candidates[1:]) == list(ch.candidates[1:])
-            best = min(range(len(ch.scores)),
-                       key=lambda t: (ch.scores[t], ch.candidates[t]))
-            assert ch.scores[ch.chosen_pos] == pytest.approx(ch.scores[best])
+        # query i designates the first best-scoring candidate among itself,
+        # then its neighbours in ascending order, and takes its nearest label
+        d = space_dist(inst.space)
+        P, Q = opt.points.tolist(), inst.queries.tolist()
+        nbrs = [set() for _ in range(inst.k)]
+        for u, v, _ in inst.graph.edges.tolist():
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        for i in range(inst.k):
+            cand = [i] + sorted(nbrs[i])
+            scores = [d(P[i], P[j]) + d(P[j], Q[j]) for j in cand]
+            j = next(j for j, s in zip(cand, scores) if s <= min(scores) + 1e-9)
+            assert designated[i] == j
+            assert d(Q[j], inst.labels[a.idx[i]].tolist()) <= \
+                min(d(Q[j], p) for p in inst.labels.tolist()) + 1e-9
+
+
+def test_sparse_assign_ties_go_to_the_query_then_its_lowest_neighbour():
+    # every query labelled 10: query 0 scores 6 itself and 0 at either
+    # neighbour; queries 1 and 2 score 0 at themselves and at each other
+    inst = make_instance(EuclideanSpace(1), np.array([[0.0], [10.0]]),
+                         np.array([[4.0], [10.0], [10.0]]), edges=[(0, 2), (1, 2), (0, 1)])
+    a, designated = sparse_assign(inst, cost(inst, [1, 1, 1]))
+    assert designated.tolist() == [1, 1, 2]
+    assert a.idx.tolist() == [1, 1, 1]
 
 
 def test_sparse_assign_empty_graph_keeps_nearest_labels():

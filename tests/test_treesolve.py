@@ -98,7 +98,8 @@ def test_refine_never_increases_cost():
     (grid_graph(3, 3), True),                                    # moves a color class at once
     (CompatGraph.from_pairs(5, [(i, (i + 1) % 5) for i in range(5)]), False),  # one query at a time
 ], ids=["grid3x3", "cycle5"])
-def test_refine_ends_where_no_single_move_helps(graph, bipartite):
+def test_refine_ends_where_no_single_move_helps(graph, bipartite, monkeypatch):
+    monkeypatch.setattr(treesolve, "_PASSES", 100)
     assert (graph.two_coloring() is not None) == bipartite
     rng = np.random.default_rng(31)
     k = graph.n
@@ -107,7 +108,7 @@ def test_refine_ends_where_no_single_move_helps(graph, bipartite):
         inst = make_instance(EuclideanSpace(2), labels, rng.uniform(0, 10, size=(k, 2)),
                              graph, kappa=rng.uniform(0.2, 2.0, size=k),
                              lam=rng.uniform(0.2, 2.0, size=graph.num_entries))
-        a = euclidean_refine(inst, rng.integers(0, len(labels), size=k), passes=100)
+        a = euclidean_refine(inst, rng.integers(0, len(labels), size=k))
         for q in range(k):
             for lab in range(len(labels)):
                 moved = a.idx.copy()
@@ -124,7 +125,8 @@ ICM_CASES = [pytest.param(rows, passes, id=name if passes == 10 else f"{name}-{p
 
 
 @pytest.mark.parametrize("rows, passes", ICM_CASES)
-def test_refine_matches_the_loop_icm_oracle(rows, passes):
+def test_refine_matches_the_loop_icm_oracle(rows, passes, monkeypatch):
+    monkeypatch.setattr(treesolve, "_PASSES", passes)
     # repeated label points make ties
     graph = CompatGraph(1 + max(max(r[:2]) for r in rows), np.array(rows))
     k = graph.n
@@ -139,11 +141,12 @@ def test_refine_matches_the_loop_icm_oracle(rows, passes):
         start = rng.integers(0, len(labels), size=k)
         want = oracles.icm(oracles.euclid, queries.tolist(), labels.tolist(), rows,
                            kappa, lam, start.tolist(), passes=passes)
-        assert euclidean_refine(inst, start, passes=passes).idx.tolist() == want
+        assert euclidean_refine(inst, start).idx.tolist() == want
 
 
 @pytest.mark.parametrize("rows, passes", ICM_CASES)
-def test_lattice_refine_matches_the_loop_oracle(rows, passes):
+def test_lattice_refine_matches_the_loop_oracle(rows, passes, monkeypatch):
+    monkeypatch.setattr(treesolve, "_PASSES", passes)
     # queries partly off the box; starts anywhere in it
     graph = CompatGraph(1 + max(max(r[:2]) for r in rows), np.array(rows))
     k = graph.n
@@ -158,7 +161,7 @@ def test_lattice_refine_matches_the_loop_oracle(rows, passes):
         start = rng.integers(0, box.hi + 1, size=(k, dim))
         want = oracles.lattice_icm(queries.tolist(), box.lo, box.hi, rows, kappa, lam,
                                    start.tolist(), passes=passes)
-        assert euclidean_refine(inst, start, passes=passes).points.tolist() == want
+        assert euclidean_refine(inst, start).points.tolist() == want
 
 
 def test_refine_fixes_an_obvious_mistake():
