@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import io as sio
-from .core import GuardExceededError, brute_force_opt, pruning_gap
+from .core import GuardExceededError, PruningReport, brute_force_opt
 from .denoise import (NoiseConfig, add_noise, denoise_patches, denoise_pixels,
                       pixel_gap_experiment)
 from .exact import NodeBudgetExceeded, bb_opt
@@ -24,7 +24,7 @@ from .ppm import PpmFormatError, load_ppm, save_ppm
 from .sparse import rplus_solve
 
 DEFAULT_SEED = 42
-# branch-and-bound budget of the exact alpha in `lowerbound`
+# branch-and-bound budget of each exact optimum in `gap` and `lowerbound`
 _NODE_BUDGET = 2_000_000
 
 
@@ -55,9 +55,17 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _exact_gap(inst) -> PruningReport:
+    """The pruning gap from two branch-and-bound optima under _NODE_BUDGET:
+    over all labels, and over the nearest-label survivors."""
+    full = bb_opt(inst, node_budget=_NODE_BUDGET).total
+    pruned = pruned_label_set(inst).label_idx
+    return PruningReport.of(full, bb_opt(inst, pruned, _NODE_BUDGET).total, pruned)
+
+
 def cmd_gap(args) -> int:
     inst = sio.load_instance(args.instance)
-    rep = pruning_gap(inst)
+    rep = _exact_gap(inst)
     print(f"opt_full={rep.opt_full:.6f} opt_pruned={rep.opt_pruned:.6f} "
           f"alpha={rep.alpha:.6f}")
     doc = {
@@ -91,9 +99,9 @@ def cmd_lowerbound(args) -> int:
           f"edge_instances={inst.graph.num_instances}")
     print(f"attachment labeling cost: {attachment_cost(params):.1f}")
     if params.k <= 8:
-        full = bb_opt(inst, node_budget=_NODE_BUDGET).total
-        pruned = bb_opt(inst, pruned_label_set(inst).label_idx, _NODE_BUDGET).total
-        print(f"exact alpha: {pruned / full:.6f} (opt {full:.1f} -> pruned {pruned:.1f})")
+        rep = _exact_gap(inst)
+        print(f"exact alpha: {rep.alpha:.6f} "
+              f"(opt {rep.opt_full:.1f} -> pruned {rep.opt_pruned:.1f})")
     if args.out:
         sio.save_instance(args.out, inst)
         print(f"wrote {args.out}")
@@ -164,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(sp)
     sp.set_defaults(func=cmd_oracle)
 
-    sp = sub.add_parser("gap", help="exact pruning gap of an instance file")
+    sp = sub.add_parser("gap", help="exact pruning gap of an instance file, by branch and bound")
     sp.add_argument("instance")
     add_out(sp)
     sp.set_defaults(func=cmd_gap)

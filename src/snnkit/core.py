@@ -13,7 +13,12 @@ the functional itself supports general nonnegative weights.
 
 Solvers share one internal form: unary costs, collapsed weighted edges and
 label distances.  _enumerate minimizes it exactly by enumeration, _icm
-improves a labeling by iterated conditional modes (Besag 1986).
+improves a labeling by iterated conditional modes (Besag 1986).  _icm's
+scorer returns, for each row of a class, its first best label, that
+label's score and the score of its current label.  _shared_scorer is that
+scorer over S explicit labels: it prices the rows in chunks of at most
+_SCORE_BYTES of scores, so besides that budget it holds only the distances
+from the S labels to the distinct labels of the class's neighbors.
 """
 from __future__ import annotations
 
@@ -28,6 +33,8 @@ from .nn import NnIndex, lattice_nn_map
 
 DEFAULT_GUARD = 10 ** 7
 _CHUNK = 1 << 18
+# bytes of one (rows, labels) score block priced by _shared_scorer
+_SCORE_BYTES = 8 << 20
 _EPS = 1e-12
 
 
@@ -238,25 +245,58 @@ def _classes(coloring, rows) -> list[np.ndarray]:
     return [rows[coloring[rows] == c] for c in (0, 1)]
 
 
-def _shared_scorer(unary, dist):
-    """Scorer for _icm when every row picks from the same S labels.
+def _shared_scorer(n_labels: int, unary, dist):
+    """Scorer for _icm when every row picks from the same S = n_labels labels.
 
-    Labels are dense ids 0..S-1.  unary(rows) gives the (rows, S) unary
-    costs and dist(u) the (S, len(u)) distances from every label to the
-    labels u.  Neighbor weights are gathered per distinct neighbor label u
-    of the rows scored, then priced in one product.
+    Labels are dense ids 0..S-1.  unary(rows) gives a new (rows, S) block of
+    unary costs and dist(u) the (S, len(u)) distances from every label to
+    the labels u.  score(cur, rows, li, nd, nw) returns each row's first
+    best label, that label's score and the score of the row's current label.
+
+    The distinct neighbor labels u of the class and dist(u) are computed
+    once per call.  The rows are then priced in chunks of
+    max(1, _SCORE_BYTES // (8 * S)), so no (rows, S) block outgrows the
+    budget: a chunk's neighbor weights are gathered per label of u, its
+    edges added in edge order as np.bincount would, and priced in one
+    product.  Each row's scores are the same as when pricing the whole class
+    at once.  The weight and product blocks are kept between calls, so a
+    chunk allocates only its unary block.
     """
+    step = max(1, _SCORE_BYTES // (8 * n_labels))
+    bufs = [np.empty(0), np.empty(0)]   # one chunk's weights and their product
+
     def score(cur, rows, li, nd, nw):
-        s = unary(rows)
+        n = len(rows)
+        now = cur[rows]
+        best, best_s, now_s = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
         if len(li):
             lab = cur[nd]
-            seen = np.zeros(s.shape[1], dtype=bool)
+            seen = np.zeros(n_labels, dtype=bool)
             seen[lab] = True
             u = np.flatnonzero(seen)
             col = (np.cumsum(seen) - 1)[lab]
-            a = np.bincount(li * len(u) + col, weights=nw, minlength=len(rows) * len(u))
-            s = s + a.reshape(len(rows), len(u)) @ dist(u).T
-        return s, cur[rows], None
+            d = dist(u)
+            order = np.argsort(li, kind="stable")  # edge order kept within a row
+            cut = np.searchsorted(li[order], np.arange(0, n + step, step))
+            size = min(n, step) * n_labels
+            if len(bufs[0]) < size:
+                bufs[:] = np.empty(size), np.empty(size)
+            wbuf, pbuf = bufs
+        for c, a in enumerate(range(0, n, step)):
+            b = min(n, a + step)
+            s = unary(rows[a:b])
+            if len(li):
+                e = order[cut[c]:cut[c + 1]]
+                w = wbuf[:(b - a) * len(u)]
+                w.fill(0.0)
+                np.add.at(w, (li[e] - a) * len(u) + col[e], nw[e])
+                s += np.matmul(w.reshape(b - a, -1), d.T,
+                               out=pbuf[:(b - a) * n_labels].reshape(b - a, -1))
+            r = np.arange(b - a)
+            best[a:b] = np.argmin(s, axis=1)
+            best_s[a:b] = s[r, best[a:b]]
+            now_s[a:b] = s[r, now[a:b]]
+        return best, best_s, now_s
     return score
 
 
@@ -268,10 +308,10 @@ def _icm(cur, classes, src, dst, w, score, passes: int):
     w[e] times a label distance to row src[e] against the label of dst[e].
     score(cur, rows, li, nd, nw) is given a class and its incident edges
     (li: row positions within the class, nd: neighbors, nw: weights) and
-    returns (scores, column of each row's current label, candidates); the
-    candidates are None when column c is label c, else a (rows, S, ...)
-    array of labels.  A row moves to its first best candidate only when
-    that beats its current score by more than _EPS.
+    returns (best, best_score, now_score): each row's first best label,
+    that label's score and the score of the row's current label.  A row
+    moves to its best label only when that beats its current score by more
+    than _EPS.
 
     Only dirty rows are scored: all rows start dirty, scoring clears a row,
     and a move makes the row's neighbors dirty.  A row's scores depend only
@@ -305,12 +345,10 @@ def _icm(cur, classes, src, dst, w, score, passes: int):
                 e = keep[li]
                 rows, li, nd, nw = rows[keep], (np.cumsum(keep) - 1)[li[e]], nd[e], nw[e]
             dirty[rows] = False
-            s, now, cand = score(cur, rows, li, nd, nw)
-            r = np.arange(len(rows))
-            best = np.argmin(s, axis=1)
-            move = s[r, best] < s[r, now] - _EPS
+            best, best_s, now_s = score(cur, rows, li, nd, nw)
+            move = best_s < now_s - _EPS
             if move.any():
-                cur[rows[move]] = best[move] if cand is None else cand[r[move], best[move]]
+                cur[rows[move]] = best[move]
                 dirty[nd[move[li]]] = True
     return cur
 
@@ -353,6 +391,16 @@ class PruningReport:
     alpha: float
     pruned_labels: np.ndarray
 
+    @classmethod
+    def of(cls, opt_full: float, opt_pruned: float, pruned_labels) -> "PruningReport":
+        """The report of two optima; alpha is 1 when both are zero."""
+        if opt_full > 0:
+            alpha = opt_pruned / opt_full
+        else:
+            alpha = 1.0 if opt_pruned <= 1e-12 else np.inf
+        return cls(opt_full=opt_full, opt_pruned=opt_pruned, alpha=float(alpha),
+                   pruned_labels=pruned_labels)
+
 
 def nn_label_map(inst: SnnInstance) -> np.ndarray:
     """Per-query nearest label: ids for explicit sets, points for lattices."""
@@ -371,11 +419,5 @@ def pruning_gap(inst: SnnInstance) -> PruningReport:
     if not inst.has_explicit_labels:
         raise TypeError("pruning_gap needs an explicit label set")
     pruned = np.unique(nn_label_map(inst))
-    full_opt = brute_force_opt(inst)
-    pruned_opt = brute_force_opt(inst, allowed=pruned)
-    if full_opt.total > 0:
-        alpha = pruned_opt.total / full_opt.total
-    else:
-        alpha = 1.0 if pruned_opt.total <= 1e-12 else np.inf
-    return PruningReport(opt_full=full_opt.total, opt_pruned=pruned_opt.total,
-                         alpha=float(alpha), pruned_labels=pruned)
+    return PruningReport.of(brute_force_opt(inst).total,
+                            brute_force_opt(inst, allowed=pruned).total, pruned)

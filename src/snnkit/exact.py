@@ -83,7 +83,7 @@ def bb_opt(inst: SnnInstance, allowed=None, node_budget: int | None = None,
         return float(t)
 
     best_lab = min((start_a, start_b), key=total_of)
-    polish = _shared_scorer(lambda rows: d_nn[rows], lambda u: d_lab[:, u])
+    polish = _shared_scorer(L, lambda rows: d_nn[rows], lambda u: d_lab[:, u])
     one_at_a_time = _classes(None, np.arange(k))
     best_lab = _icm(best_lab, one_at_a_time, *_directed(pi, pj, pw), polish, passes=8)
     incumbent = total_of(best_lab)

@@ -126,7 +126,10 @@ def relax(inst: SnnInstance) -> tuple[np.ndarray, float]:
 
 
 def _lattice_scorer(inst: SnnInstance):
-    """Per-row candidates: own color, current label, then neighbors' labels."""
+    """Per-row candidates: own color, current label, then neighbors' labels.
+
+    Scores the (rows, 2 + degree) candidate block and returns its argmin.
+    """
     Q = np.asarray(inst.queries, dtype=float)
     own = lattice_nn_map(inst.labels, Q).astype(float)
     kap = inst.kappa
@@ -146,7 +149,9 @@ def _lattice_scorer(inst: SnnInstance):
             for t in range(int(deg.max())):
                 e = order[rank == t]
                 s[li[e]] += term[e]
-        return s, 1, cand
+        r = np.arange(len(rows))
+        best = np.argmin(s, axis=1)
+        return cand[r, best], s[r, best], s[:, 1]
     return score
 
 
@@ -169,7 +174,13 @@ def euclidean_refine(inst: SnnInstance, labels) -> Assignment:
         return cost_points(inst, pts.astype(np.int64))
     # every row prices the full explicit label set
     Q, pool, kap = inst.queries, inst.labels, inst.kappa
-    score = _shared_scorer(lambda rows: kap[rows, None] * inst.space.cross(Q[rows], pool),
+
+    def unary(rows):
+        s = inst.space.cross(Q[rows], pool)
+        s *= kap[rows, None]    # in place: one (rows, S) block per chunk
+        return s
+
+    score = _shared_scorer(len(pool), unary,
                            lambda u: inst.space.cross(pool, pool[u]))
     cur = np.asarray(labels, dtype=np.int64).copy()
     return cost(inst, _icm(cur, classes, *edges, score, _PASSES))

@@ -7,12 +7,13 @@ import pytest
 
 from conftest import space_dist
 from oracles import enum_opt, euclid, icm, neighbor_lists
+from snnkit import core
 from snnkit.core import (DEFAULT_GUARD, GuardExceededError, _classes, _collapsed,
                          _directed, _icm, _shared_scorer, brute_force_opt, cost,
                          cost_points, make_instance, nn_label_map, pruning_gap, unique_rows)
 from snnkit.denoise import NoiseConfig, add_noise, pixel_instance
 from snnkit.generators import random_instance
-from snnkit.graphs import grid_graph
+from snnkit.graphs import CompatGraph, grid_graph
 from snnkit.metric import EuclideanSpace, LatticeBox
 
 
@@ -217,7 +218,7 @@ def test_icm_scores_only_rows_whose_neighbours_moved():
     inst = make_instance(EuclideanSpace(1), labels, queries, graph)
     start = rng.integers(0, len(labels), size=k)
     d_nn, d_lab = inst.space.cross(queries, labels), inst.space.cross(labels, labels)
-    score = _shared_scorer(lambda rows: d_nn[rows], lambda u: d_lab[:, u])
+    score = _shared_scorer(len(labels), lambda rows: d_nn[rows], lambda u: d_lab[:, u])
     calls = []
 
     def counting(cur, rows, li, nd, nw):
@@ -254,3 +255,43 @@ def test_icm_scores_only_rows_whose_neighbours_moved():
             break
     assert n == len(calls)
     assert passes > 2 and sum(len(r) for r, _ in calls) < (passes - 1) * k
+
+
+@pytest.mark.parametrize("graph_kind", ["grid", "odd-cycle"])
+def test_chunked_scoring_moves_like_one_chunk_and_the_oracle(graph_kind, monkeypatch):
+    # weighted parallel edges, so each row sums several terms in edge order
+    rng = np.random.default_rng(8)
+    if graph_kind == "grid":
+        k, pairs = 54, grid_graph(9, 6).edges.tolist()
+    else:
+        k = 25
+        pairs = [(i, (i + 1) % k) for i in range(k)] + [(i, (i + 1) % k, 2) for i in range(0, k, 3)]
+    graph = CompatGraph.from_pairs(k, pairs)
+    S = 7
+    labels, queries = rng.uniform(0, 10, size=(S, 2)), rng.uniform(0, 10, size=(k, 2))
+    kappa, lam = rng.uniform(0.2, 2, size=k), rng.uniform(0.5, 4, size=graph.num_entries)
+    inst = make_instance(EuclideanSpace(2), labels, queries, graph, kappa, lam)
+    start = rng.integers(0, S, size=k)
+    d_nn = kappa[:, None] * inst.space.cross(queries, labels)
+    d_lab = inst.space.cross(labels, labels)
+    classes = _classes(graph.two_coloring(), np.arange(k))
+
+    def run(budget):
+        monkeypatch.setattr(core, "_SCORE_BYTES", budget)
+        sizes = []
+
+        def unary(rows):
+            sizes.append(len(rows))
+            return d_nn[rows]
+        score = _shared_scorer(S, unary, lambda u: d_lab[:, u])
+        got = _icm(start.copy(), classes, *_directed(*_collapsed(inst)), score, passes=10)
+        assert max(sizes) <= max(1, budget // (8 * S))
+        return got.tolist(), max(sizes)
+
+    want = icm(euclid, queries.tolist(), labels.tolist(), graph.edges.tolist(),
+               kappa, lam, start.tolist())
+    one, widest = run(1 << 40)
+    assert one == want and widest == max(len(c) for c in classes)
+    # 1-row chunks, 4-row chunks and a budget just short of 5 rows
+    for budget in (1, 8 * S * 4, 8 * S * 5 - 1):
+        assert run(budget)[0] == want

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,20 @@ def test_cube_lower_bound_is_below_both_costs():
     # the bound is on the cube optimum, which the palette cannot beat
     assert 0 < full.lower_bound <= full.total
     assert full.lower_bound <= image.total
+
+
+def test_palette_icm_memory_stays_within_the_score_budget(cartoon):
+    # 4,050 palette colours: pricing a whole colour class at once traced a
+    # 197 MiB peak here, the chunked scorer about 38 MiB
+    noisy = add_noise(cartoon, NoiseConfig(kind="gaussian", sigma=10.0, seed=42))
+    tracemalloc.start()
+    try:
+        run = denoise_pixels(noisy, "image")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2 ** 20
+    assert run.total == pytest.approx(178441.3987297037, rel=1e-12)
 
 
 def test_pixel_gap_experiment_report():
