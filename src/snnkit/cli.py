@@ -11,10 +11,10 @@ import json
 import sys
 
 from . import io as sio
-from .core import GuardExceededError, PruningReport, brute_force_opt
+from .core import GuardExceededError, brute_force_opt
 from .denoise import (NoiseConfig, add_noise, denoise_patches, denoise_pixels,
                       pixel_gap_experiment)
-from .exact import NodeBudgetExceeded, bb_opt
+from .exact import NodeBudgetExceeded, pruning_gap
 from .generators import cartoon_fixture
 from .graphs import orient_edges
 from .inn import KINDS, inn_solve, pruned_label_set
@@ -24,8 +24,6 @@ from .ppm import PpmFormatError, load_ppm, save_ppm
 from .sparse import rplus_solve
 
 DEFAULT_SEED = 42
-# branch-and-bound budget of each exact optimum in `gap` and `lowerbound`
-_NODE_BUDGET = 2_000_000
 
 
 def _write_or_print(doc: dict, out: str | None):
@@ -55,17 +53,9 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _exact_gap(inst) -> PruningReport:
-    """The pruning gap from two branch-and-bound optima under _NODE_BUDGET:
-    over all labels, and over the nearest-label survivors."""
-    full = bb_opt(inst, node_budget=_NODE_BUDGET).total
-    pruned = pruned_label_set(inst).label_idx
-    return PruningReport.of(full, bb_opt(inst, pruned, _NODE_BUDGET).total, pruned)
-
-
 def cmd_gap(args) -> int:
     inst = sio.load_instance(args.instance)
-    rep = _exact_gap(inst)
+    rep = pruning_gap(inst)
     print(f"opt_full={rep.opt_full:.6f} opt_pruned={rep.opt_pruned:.6f} "
           f"alpha={rep.alpha:.6f}")
     doc = {
@@ -99,7 +89,7 @@ def cmd_lowerbound(args) -> int:
           f"edge_instances={inst.graph.num_instances}")
     print(f"attachment labeling cost: {attachment_cost(params):.1f}")
     if params.k <= 8:
-        rep = _exact_gap(inst)
+        rep = pruning_gap(inst)
         print(f"exact alpha: {rep.alpha:.6f} "
               f"(opt {rep.opt_full:.1f} -> pruned {rep.opt_pruned:.1f})")
     if args.out:

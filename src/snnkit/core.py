@@ -383,41 +383,8 @@ def brute_force_opt(inst: SnnInstance, allowed=None) -> Assignment:
     return cost(inst, ids[digits])
 
 
-@dataclass(eq=False)
-class PruningReport:
-    """Exact optima before and after nearest-neighbor pruning of the labels."""
-    opt_full: float
-    opt_pruned: float
-    alpha: float
-    pruned_labels: np.ndarray
-
-    @classmethod
-    def of(cls, opt_full: float, opt_pruned: float, pruned_labels) -> "PruningReport":
-        """The report of two optima; alpha is 1 when both are zero."""
-        if opt_full > 0:
-            alpha = opt_pruned / opt_full
-        else:
-            alpha = 1.0 if opt_pruned <= 1e-12 else np.inf
-        return cls(opt_full=opt_full, opt_pruned=opt_pruned, alpha=float(alpha),
-                   pruned_labels=pruned_labels)
-
-
 def nn_label_map(inst: SnnInstance) -> np.ndarray:
     """Per-query nearest label: ids for explicit sets, points for lattices."""
     if inst.has_explicit_labels:
         return NnIndex(inst.space, inst.labels).nn_map(inst.queries)
     return lattice_nn_map(inst.labels, inst.queries)
-
-
-def pruning_gap(inst: SnnInstance) -> PruningReport:
-    """Ratio of the exact optimum over nearest-label survivors to the true one.
-
-    Both optima come from brute_force_opt, so this is exact and subject to
-    the same enumeration guard.  When both optima are zero the ratio is
-    defined as 1.
-    """
-    if not inst.has_explicit_labels:
-        raise TypeError("pruning_gap needs an explicit label set")
-    pruned = np.unique(nn_label_map(inst))
-    return PruningReport.of(brute_force_opt(inst).total,
-                            brute_force_opt(inst, allowed=pruned).total, pruned)

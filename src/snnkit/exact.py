@@ -6,6 +6,9 @@ The bound is admissible: cost of the partial labeling plus, for every
 unlabeled query, the cheapest label given only its already-labeled
 neighbors.  Search effort is capped by a deterministic node budget so
 "solvable exactly" is a reproducible notion.
+
+pruning_gap measures the paper's pruning gap alpha with two such optima:
+over all labels, and over the queries' nearest labels.
 """
 from __future__ import annotations
 
@@ -14,7 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (SnnInstance, _classes, _collapsed, _directed, _explicit_allowed, _icm,
-                   _shared_scorer, cost)
+                   _shared_scorer, cost, nn_label_map)
+
+# node budget of each branch-and-bound optimum that pruning_gap takes
+_NODE_BUDGET = 2_000_000
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -139,3 +145,30 @@ def bb_opt(inst: SnnInstance, allowed=None, node_budget: int | None = None,
     if return_stats:
         return a, SearchStats(nodes=nodes)
     return a
+
+
+@dataclass(eq=False)
+class PruningReport:
+    """Exact optima before and after nearest-neighbor pruning of the labels."""
+    opt_full: float
+    opt_pruned: float
+    alpha: float
+    pruned_labels: np.ndarray
+
+
+def pruning_gap(inst: SnnInstance) -> PruningReport:
+    """Ratio of the exact optimum over nearest-label survivors to the true one.
+
+    Both optima come from bb_opt under _NODE_BUDGET nodes each, so past it
+    this raises NodeBudgetExceeded.  When both optima are zero the ratio is
+    defined as 1.
+    """
+    opt_full = bb_opt(inst, node_budget=_NODE_BUDGET).total
+    pruned = np.unique(nn_label_map(inst))
+    opt_pruned = bb_opt(inst, pruned, _NODE_BUDGET).total
+    if opt_full > 0:
+        alpha = opt_pruned / opt_full
+    else:
+        alpha = 1.0 if opt_pruned <= 1e-12 else np.inf
+    return PruningReport(opt_full=opt_full, opt_pruned=opt_pruned, alpha=float(alpha),
+                         pruned_labels=pruned)

@@ -49,69 +49,6 @@ def lattice_nearest_point(lo, hi, q):
     return out
 
 
-_M64 = (1 << 64) - 1
-
-
-def splitmix64(x):
-    """splitmix64 finalizer on a 64-bit integer."""
-    x = (x + 0x9E3779B97F4A7C15) & _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
-
-
-def lattice_split(ilo, ihi, key, depth):
-    """(axis, cut) of a non-unit lattice-tree cell: the axis cycles with
-    depth past unit-width axes; the split value is drawn from [40%, 60%] of
-    the axis's [lo, hi] and floored, keeping both sides nonempty."""
-    dim = len(ilo)
-    axis = depth % dim
-    while ihi[axis] == ilo[axis]:
-        axis = (axis + 1) % dim
-    a, b = ilo[axis], ihi[axis]
-    u = splitmix64(key ^ 3) / 2.0 ** 64
-    cut = math.floor(0.6 * a + 0.4 * b + 0.2 * (b - a) * u)
-    return axis, min(max(cut, a), b - 1)
-
-
-def generic_descent_dist(lo, hi, dim, seed, p, q):
-    """Lattice tree distance by walking cells one at a time.
-
-    The root cell {lo..hi}^dim has key splitmix64(seed ^ 0x5EED); a cell's
-    children get the keys splitmix64(key ^ 1) (left, coordinates <= cut)
-    and splitmix64(key ^ 2).  The distance sums the cover diameters
-    (widths hi - lo + 1 per axis) of every cell on the two arms below the
-    cell where p and q part, leaves included.
-    """
-    def child(cell, x):
-        ilo, ihi, key, depth = cell
-        axis, cut = lattice_split(ilo, ihi, key, depth)
-        ilo, ihi = list(ilo), list(ihi)
-        if x[axis] <= cut:
-            ihi[axis] = cut
-            return ilo, ihi, splitmix64(key ^ 1), depth + 1
-        ilo[axis] = cut + 1
-        return ilo, ihi, splitmix64(key ^ 2), depth + 1
-
-    def arm(cell, x):
-        acc = 0.0
-        while True:
-            ilo, ihi = cell[0], cell[1]
-            acc += math.sqrt(sum((h - l + 1) ** 2 for l, h in zip(ilo, ihi)))
-            if ilo == ihi:
-                return acc
-            cell = child(cell, x)
-
-    a, b = [int(v) for v in p], [int(v) for v in q]
-    cell = ([lo] * dim, [hi] * dim, splitmix64((seed & _M64) ^ 0x5EED), 0)
-    while cell[0] != cell[1]:
-        ca, cb = child(cell, a), child(cell, b)
-        if ca[2] != cb[2]:
-            return arm(ca, a) + arm(cb, b)
-        cell = ca
-    return 0.0
-
-
 def assignment_cost(dist, queries, labels, choice, edges, kappa, lam):
     """Plain-loop objective: nn part + pairwise part.
 

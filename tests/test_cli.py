@@ -10,6 +10,7 @@ import pytest
 
 import snnkit.cli
 import snnkit.denoise
+import snnkit.exact
 from snnkit.cli import build_parser, main
 from snnkit.core import make_instance
 from snnkit.generators import cartoon_fixture
@@ -82,7 +83,7 @@ def test_lowerbound_k8_computes_the_exact_alpha(tmp_path, capsys):
 
 
 def test_node_budget_exit_3(monkeypatch, capsys):
-    monkeypatch.setattr(snnkit.cli, "_NODE_BUDGET", 1)
+    monkeypatch.setattr(snnkit.exact, "_NODE_BUDGET", 1)
     assert main(["lowerbound", "--k", "4"]) == 3
     assert "budget of 1 nodes" in capsys.readouterr().err
 

@@ -10,8 +10,9 @@ from oracles import enum_opt, euclid, icm, neighbor_lists
 from snnkit import core
 from snnkit.core import (DEFAULT_GUARD, GuardExceededError, _classes, _collapsed,
                          _directed, _icm, _shared_scorer, brute_force_opt, cost,
-                         cost_points, make_instance, nn_label_map, pruning_gap, unique_rows)
+                         cost_points, make_instance, nn_label_map, unique_rows)
 from snnkit.denoise import NoiseConfig, add_noise, pixel_instance
+from snnkit.exact import pruning_gap
 from snnkit.generators import random_instance
 from snnkit.graphs import CompatGraph, grid_graph
 from snnkit.metric import EuclideanSpace, LatticeBox

@@ -37,6 +37,16 @@ def test_bb_matches_brute_force_weighted():
         want = brute_force_opt(inst)
         got = bb_opt(inst)
         assert got.total == pytest.approx(want.total, abs=1e-9)
+    # weights over twelve decades: bb_opt takes each labeled query's edge
+    # terms back off its neighbors' scores by subtraction, and the rounding
+    # that leaves must not prune the optimum
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        base = random_instance(rng)
+        inst = make_instance(base.space, base.labels, base.queries, base.graph,
+                             kappa=10 ** rng.uniform(-6, 6, base.k),
+                             lam=10 ** rng.uniform(-6, 6, base.graph.num_entries))
+        assert bb_opt(inst).total == pytest.approx(brute_force_opt(inst).total, rel=1e-9)
 
 
 def test_bb_respects_allowed_subset():

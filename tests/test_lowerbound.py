@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from snnkit.core import brute_force_opt, pruning_gap
+from snnkit.core import brute_force_opt
+from snnkit.exact import pruning_gap
 from snnkit.lowerbound import (LowerBoundParams, attachment_cost,
                                build_lower_bound_instance,
                                default_multiplicity)
@@ -62,13 +63,14 @@ def test_same_seed_same_instance():
 def test_k4_gap_worked_example():
     # with k=4, d=3 the core is K4.  Sending every query to one core
     # vertex costs m + 3*(m+1) = 11; that is optimal.  Restricted to the
-    # leaves, collapsing onto one leaf costs 3*(2m+1) = 15.
-    p = LowerBoundParams(k=4, d=3, multiplicity=2, seed=42)
-    inst = build_lower_bound_instance(p)
-    rep = pruning_gap(inst)
-    assert rep.opt_full == pytest.approx(11.0)
-    assert rep.opt_pruned == pytest.approx(15.0)
-    assert rep.alpha == pytest.approx(15.0 / 11.0)
+    # leaves, collapsing onto one leaf costs 3*(2m+1) = 15.  At k=8 the
+    # 16^8 labelings are past enumeration; branch and bound gives 27 -> 39.
+    for k, opt_full, opt_pruned in ((4, 11.0, 15.0), (8, 27.0, 39.0)):
+        p = LowerBoundParams(k=k, d=3, multiplicity=2, seed=42)
+        rep = pruning_gap(build_lower_bound_instance(p))
+        assert rep.opt_full == pytest.approx(opt_full)
+        assert rep.opt_pruned == pytest.approx(opt_pruned)
+        assert rep.alpha == pytest.approx(opt_pruned / opt_full)
 
 
 def test_attachment_cost_upper_bounds_opt():

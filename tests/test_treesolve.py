@@ -14,7 +14,6 @@ from snnkit.graphs import CompatGraph, grid_graph
 from snnkit.inn import inn_solve, pruned_label_set
 from snnkit.metric import EuclideanSpace, LatticeBox, MatrixSpace
 from snnkit.nn import NnIndex, lattice_nn_map
-from snnkit.treemetric import build_tree_metric
 from snnkit.treesolve import euclidean_refine, relax
 
 
@@ -233,10 +232,8 @@ def test_matrix_space_rejected():
         relax(lat)
 
 
-def test_tree_backends_reject_explicit_labels():
+def test_relax_rejects_explicit_labels():
     inst = euclidean_only(np.random.default_rng(14))
-    with pytest.raises(ValueError):
-        build_tree_metric(inst.labels, 1)
     with pytest.raises(ValueError):
         relax(inst)
 
